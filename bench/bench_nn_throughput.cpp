@@ -29,6 +29,7 @@
 #include "ics/link_mux.hpp"
 #include "nn/kernel_backend.hpp"
 #include "nn/kernels.hpp"
+#include "reference_monitor.hpp"
 #include "serve/monitor_engine.hpp"
 
 namespace {
@@ -460,21 +461,20 @@ std::vector<ServeRun> bench_serve(const detect::CombinedDetector& detector) {
     }
     const std::vector<ics::LinkFrame> wire = ics::merge_captures(captures);
 
-    const auto run_engine = [&](bool batched, serve::AlarmSink* sink) {
-      serve::MonitorEngineConfig cfg;
-      cfg.batched = batched;
-      serve::MonitorEngine engine(detector, sink, cfg);
+    const auto run_engine = [&](serve::AlarmSink* sink) {
+      serve::MonitorEngine engine(detector, sink);
       engine.replay(wire);
       return engine.stats();
     };
     // Warm one batched pass (kernel dispatch, page-in), then measure.
-    run_engine(true, nullptr);
+    run_engine(nullptr);
 
     ServeRun run;
     run.links = links;
     serve::CountingAlarmSink merged_sink;
-    const serve::EngineStats batched = run_engine(true, &merged_sink);
-    const serve::EngineStats reference = run_engine(false, nullptr);
+    const serve::EngineStats batched = run_engine(&merged_sink);
+    const serve::EngineStats reference =
+        serve::reference_replay(detector, wire);
     run.packages = batched.packages;
     run.alarms = batched.alarms;
     run.batched_us = batched.us_per_package();

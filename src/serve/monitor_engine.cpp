@@ -10,6 +10,20 @@
 
 namespace mlad::serve {
 
+std::uint64_t EngineStatField::read(const EngineStats& s) const {
+  return std::visit(
+      [&](auto m) { return static_cast<std::uint64_t>(s.*m); }, member);
+}
+
+void EngineStatField::merge(EngineStats& into, const EngineStats& from) const {
+  std::visit(
+      [&](auto m) {
+        into.*m = kind == kCounter ? into.*m + from.*m
+                                   : std::max(into.*m, from.*m);
+      },
+      member);
+}
+
 MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
                              AlarmSink* sink,
                              const MonitorEngineConfig& config)
@@ -20,10 +34,6 @@ MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
       mux_(config.crc_window),
       batch_(detector, /*streams=*/0, pool_.get()) {
   if (config_.adapter != nullptr) {
-    if (!config_.batched) {
-      throw std::invalid_argument(
-          "MonitorEngine: adaptation requires the batched engine");
-    }
     if (config_.adapt_interval == 0) {
       throw std::invalid_argument(
           "MonitorEngine: adapt_interval must be > 0");
@@ -54,31 +64,16 @@ MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
     tele_.dispatch_ns = &reg.histogram("stage_dispatch_ns");
     tele_.tick_ns = &reg.histogram("stage_tick_ns");
     tele_.adapt_ns = &reg.histogram("stage_adapt_ns");
-    tele_.frames = &reg.counter("engine_frames_total");
-    tele_.packages = &reg.counter("engine_packages_total");
-    tele_.ticks = &reg.counter("engine_ticks_total");
-    tele_.alarms = &reg.counter("engine_alarms_total");
-    tele_.package_level_alarms =
-        &reg.counter("engine_package_level_alarms_total");
-    tele_.timeseries_level_alarms =
-        &reg.counter("engine_timeseries_level_alarms_total");
-    tele_.decode_failures = &reg.counter("engine_decode_failures_total");
-    tele_.links_seen = &reg.counter("engine_links_seen_total");
-    tele_.links_retired = &reg.counter("engine_links_retired_total");
-    tele_.links_parked = &reg.counter("engine_links_parked_total");
-    tele_.model_swaps = &reg.counter("engine_model_swaps_total");
-    tele_.rollbacks = &reg.counter("engine_rollbacks_total");
-    tele_.wall_clock_parks = &reg.counter("engine_wall_clock_parks_total");
-    tele_.wall_clock_closes = &reg.counter("engine_wall_clock_closes_total");
-    tele_.classify_us = &reg.counter("engine_classify_us_total");
-    tele_.adapt_us = &reg.counter("engine_adapt_us_total");
-    tele_.peak_links = &reg.gauge("engine_peak_links");
-    tele_.peak_pending = &reg.gauge("engine_peak_pending");
-    tele_.model_version = &reg.gauge("engine_model_version");
-    if (config_.batched) {
-      batch_.set_stage_timers({&reg.histogram("stage_lookup_ns"),
-                               &reg.histogram("stage_nn_ns")});
+    for (std::size_t i = 0; i < std::size(kEngineStatFields); ++i) {
+      const EngineStatField& f = kEngineStatFields[i];
+      if (f.kind == EngineStatField::kCounter) {
+        tele_.stats[i] = &reg.counter(f.name);
+      } else {
+        tele_.stats[i] = &reg.gauge(f.name);
+      }
     }
+    batch_.set_stage_timers(
+        {&reg.histogram("stage_lookup_ns"), &reg.histogram("stage_nn_ns")});
   }
 }
 
@@ -152,14 +147,10 @@ void MonitorEngine::join(ics::LinkId id, Link& link) {
   slots_.push_back(id);
   slot_links_.push_back(&link);
   link.closed = false;
-  if (config_.batched) {
-    batch_.grow(slots_.size());
-    if (resuming) {
-      batch_.restore_stream(link.slot, *link.parked_state);
-      link.parked_state.reset();
-    }
-  } else if (!resuming) {
-    link.stream = detector_->make_stream();
+  batch_.grow(slots_.size());
+  if (resuming) {
+    batch_.restore_stream(link.slot, *link.parked_state);
+    link.parked_state.reset();
   }
   link.parked = false;
   if (resuming) {
@@ -217,14 +208,13 @@ void MonitorEngine::retire_drained() {
     const ics::LinkId id = slots_[s];
     const std::size_t last = slots_.size() - 1;
     if (s != last) {
-      if (config_.batched) batch_.swap_streams(s, last);
+      batch_.swap_streams(s, last);
       std::swap(slots_[s], slots_[last]);
       std::swap(slot_links_[s], slot_links_[last]);
       slot_links_[s]->slot = s;
     }
-    if (config_.batched) batch_.shrink(last);
+    batch_.shrink(last);
     link.slot = kNoSlot;
-    link.stream = {};
     slots_.pop_back();
     slot_links_.pop_back();
     ++stats_.links_retired;
@@ -234,20 +224,19 @@ void MonitorEngine::retire_drained() {
 
 void MonitorEngine::park(std::size_t s) {
   Link& link = *slot_links_[s];
-  if (config_.batched) link.parked_state = batch_.extract_stream(s);
+  link.parked_state = batch_.extract_stream(s);
   const std::size_t last = slots_.size() - 1;
   if (s != last) {
-    if (config_.batched) batch_.swap_streams(s, last);
+    batch_.swap_streams(s, last);
     std::swap(slots_[s], slots_[last]);
     std::swap(slot_links_[s], slot_links_[last]);
     slot_links_[s]->slot = s;
   }
-  if (config_.batched) batch_.shrink(last);
+  batch_.shrink(last);
   link.slot = kNoSlot;
   link.parked = true;
   link.parked_since = stats_.ticks;
   link.parked_wall_ms = 0.0;
-  // In reference mode link.stream simply stays put until the rejoin.
   slots_.pop_back();
   slot_links_.pop_back();
   ++parked_count_;
@@ -258,7 +247,6 @@ void MonitorEngine::park(std::size_t s) {
 void MonitorEngine::retire_parked(ics::LinkId id, Link& link) {
   link.parked = false;
   link.parked_state.reset();
-  link.stream = {};
   --parked_count_;
   ++stats_.links_retired;
   if (config_.adapter != nullptr) config_.adapter->stream_break(id);
@@ -428,16 +416,8 @@ void MonitorEngine::maybe_tick() {
       tick_rows_[s] = slot_links_[s]->queue.front().row;
     }
     Stopwatch sw;
-    if (config_.batched) {
-      batch_.step(tick_rows_, verdicts_,
-                  config_.adapter != nullptr ? &package_verdicts_ : nullptr);
-    } else {
-      verdicts_.assign(n, {});
-      for (std::size_t s = 0; s < n; ++s) {
-        verdicts_[s] = detector_->classify_and_consume(slot_links_[s]->stream,
-                                                       tick_rows_[s]);
-      }
-    }
+    batch_.step(tick_rows_, verdicts_,
+                config_.adapter != nullptr ? &package_verdicts_ : nullptr);
     stats_.classify_us += sw.elapsed_us();
     ++stats_.ticks;
     gate_blocked_ms_ = 0.0;  // the gate moved; the stall clock restarts
@@ -587,26 +567,10 @@ void MonitorEngine::dispatch(ics::LinkId id, Link& link,
 }
 
 void MonitorEngine::publish_stats() {
-  const EngineStats& s = stats_;
-  tele_.frames->set(s.frames);
-  tele_.packages->set(s.packages);
-  tele_.ticks->set(s.ticks);
-  tele_.alarms->set(s.alarms);
-  tele_.package_level_alarms->set(s.package_level_alarms);
-  tele_.timeseries_level_alarms->set(s.timeseries_level_alarms);
-  tele_.decode_failures->set(s.decode_failures);
-  tele_.links_seen->set(s.links_seen);
-  tele_.links_retired->set(s.links_retired);
-  tele_.links_parked->set(s.links_parked);
-  tele_.model_swaps->set(s.model_swaps);
-  tele_.rollbacks->set(s.rollbacks);
-  tele_.wall_clock_parks->set(s.wall_clock_parks);
-  tele_.wall_clock_closes->set(s.wall_clock_closes);
-  tele_.classify_us->set(static_cast<std::uint64_t>(s.classify_us));
-  tele_.adapt_us->set(static_cast<std::uint64_t>(s.adapt_us));
-  tele_.peak_links->set(s.peak_links);
-  tele_.peak_pending->set(s.peak_pending);
-  tele_.model_version->set(s.model_version);
+  for (std::size_t i = 0; i < std::size(kEngineStatFields); ++i) {
+    const std::uint64_t v = kEngineStatFields[i].read(stats_);
+    std::visit([v](auto* instrument) { instrument->set(v); }, tele_.stats[i]);
+  }
 }
 
 std::vector<std::pair<ics::LinkId, LinkStats>> MonitorEngine::link_stats()

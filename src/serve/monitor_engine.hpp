@@ -12,19 +12,18 @@
 // arithmetic is a fixed per-row function (DESIGN.md §5/§7), a link's
 // verdict sequence is bit-identical whether it is monitored alone or
 // alongside any number of other links — the batched engine is a pure
-// throughput optimization.
-//
-// `batched = false` selects the reference path instead: one
-// classify_and_consume per package on a per-link Stream — bit-identical to
-// the historical single-link `mlad monitor` loop, and the baseline the
-// serve benchmarks compare against ("N sequential monitors").
+// throughput optimization. Its per-package baseline lives outside the
+// engine, in tests/support/reference_monitor.hpp.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <span>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -51,10 +50,6 @@ struct MonitorEngineConfig {
   /// Kernel-row partitioning only (0 = all cores, 1 = sequential); never
   /// changes any verdict or stat (DESIGN.md §5).
   std::size_t threads = 1;
-  /// true: StreamBatch lockstep ticks (the serve hot path). false: the
-  /// per-package reference loop, bit-identical to the pre-engine
-  /// `mlad monitor`.
-  bool batched = true;
   std::size_t crc_window = 50;  ///< per-link rolling CRC window (§VII)
 
   // ---- straggler policy (DESIGN.md §9) ------------------------------------
@@ -106,8 +101,8 @@ struct MonitorEngineConfig {
 
   // ---- online adaptation (DESIGN.md §9) -----------------------------------
   /// Background adaptation subsystem; must wrap the SAME detector object
-  /// this engine serves, and requires `batched` mode. The engine harvests
-  /// verdict-clean windows into it and hot-swaps the weights it publishes.
+  /// this engine serves. The engine harvests verdict-clean windows into it
+  /// and hot-swaps the weights it publishes.
   /// Null = adaptation off (the default; the tick path is untouched).
   adapt::OnlineTrainer* adapter = nullptr;
   /// Ticks between adaptation rounds: at every multiple the engine adopts
@@ -117,8 +112,9 @@ struct MonitorEngineConfig {
 
   // ---- telemetry (DESIGN.md §14) ------------------------------------------
   /// Metrics registry; the engine registers its own per-stage histograms
-  /// and EngineStats mirrors at construction and updates them on the tick
-  /// path (a clock read and a relaxed store per sample — never a lock).
+  /// and one instrument per kEngineStatFields row at construction and
+  /// updates them on the tick path (a clock read and a relaxed store per
+  /// sample — never a lock).
   /// Telemetry never feeds back into classification: verdicts are
   /// bit-identical with or without it. Null = telemetry off (the default;
   /// the tick path pays nothing).
@@ -169,6 +165,66 @@ struct EngineStats {
                : 0.0;
   }
 };
+
+/// One EngineStats field as the outside world sees it (the name↔column
+/// table idiom): its registry name, the member, and how same-name values
+/// of several owners merge — a counter sums, a gauge takes the max (a
+/// peak no single shard ever saw is no peak). Telemetry registration, the
+/// per-tick publish and the cross-shard aggregate_stats all loop over
+/// kEngineStatFields, so this table is the one field list.
+struct EngineStatField {
+  enum Kind { kCounter, kGauge };
+  std::string_view name;
+  Kind kind;
+  /// classify_us and adapt_us are the double fields; they publish as
+  /// whole microseconds.
+  std::variant<std::uint64_t EngineStats::*, double EngineStats::*> member;
+
+  /// The value the registry instrument carries.
+  std::uint64_t read(const EngineStats& s) const;
+  /// Fold `from` into `into` by this field's kind.
+  void merge(EngineStats& into, const EngineStats& from) const;
+};
+
+inline constexpr EngineStatField kEngineStatFields[] = {
+    {"engine_frames_total", EngineStatField::kCounter, &EngineStats::frames},
+    {"engine_packages_total", EngineStatField::kCounter,
+     &EngineStats::packages},
+    {"engine_ticks_total", EngineStatField::kCounter, &EngineStats::ticks},
+    {"engine_alarms_total", EngineStatField::kCounter, &EngineStats::alarms},
+    {"engine_package_level_alarms_total", EngineStatField::kCounter,
+     &EngineStats::package_level_alarms},
+    {"engine_timeseries_level_alarms_total", EngineStatField::kCounter,
+     &EngineStats::timeseries_level_alarms},
+    {"engine_decode_failures_total", EngineStatField::kCounter,
+     &EngineStats::decode_failures},
+    {"engine_links_seen_total", EngineStatField::kCounter,
+     &EngineStats::links_seen},
+    {"engine_links_retired_total", EngineStatField::kCounter,
+     &EngineStats::links_retired},
+    {"engine_links_parked_total", EngineStatField::kCounter,
+     &EngineStats::links_parked},
+    {"engine_peak_links", EngineStatField::kGauge, &EngineStats::peak_links},
+    {"engine_peak_pending", EngineStatField::kGauge,
+     &EngineStats::peak_pending},
+    {"engine_model_version", EngineStatField::kGauge,
+     &EngineStats::model_version},
+    {"engine_model_swaps_total", EngineStatField::kCounter,
+     &EngineStats::model_swaps},
+    {"engine_rollbacks_total", EngineStatField::kCounter,
+     &EngineStats::rollbacks},
+    {"engine_wall_clock_parks_total", EngineStatField::kCounter,
+     &EngineStats::wall_clock_parks},
+    {"engine_wall_clock_closes_total", EngineStatField::kCounter,
+     &EngineStats::wall_clock_closes},
+    {"engine_classify_us_total", EngineStatField::kCounter,
+     &EngineStats::classify_us},
+    {"engine_adapt_us_total", EngineStatField::kCounter,
+     &EngineStats::adapt_us},
+};
+// Every EngineStats field is 8 bytes wide: a field added without a row
+// changes the size and stops the build here.
+static_assert(sizeof(EngineStats) == 8 * std::size(kEngineStatFields));
 
 class MonitorEngine {
  public:
@@ -246,8 +302,7 @@ class MonitorEngine {
     std::uint64_t rejoined_at = 0;   ///< tick of the last park→rejoin
     double parked_wall_ms = 0.0;     ///< wall-clock time spent in this park
     LinkStats stats;
-    detect::CombinedDetector::Stream stream;  ///< reference mode only
-    /// Batched-mode stream state saved across a park (nullopt otherwise).
+    /// Stream state saved across a park (nullopt otherwise).
     std::optional<detect::StreamBatch::StreamSnapshot> parked_state;
   };
 
@@ -281,7 +336,7 @@ class MonitorEngine {
   void perform_rollback();
   void dispatch(ics::LinkId id, Link& link, const Pending& pending,
                 const detect::CombinedVerdict& verdict);
-  /// Mirror every EngineStats field into the registry (relaxed stores;
+  /// Mirror every kEngineStatFields row into the registry (relaxed stores;
   /// called once per tick and once in finish() — the struct stays the
   /// source of truth, the registry its exporter-visible shadow).
   void publish_stats();
@@ -308,25 +363,9 @@ class MonitorEngine {
     obs::LatencyHistogram* dispatch_ns = nullptr;
     obs::LatencyHistogram* tick_ns = nullptr;
     obs::LatencyHistogram* adapt_ns = nullptr;
-    obs::Counter* frames = nullptr;
-    obs::Counter* packages = nullptr;
-    obs::Counter* ticks = nullptr;
-    obs::Counter* alarms = nullptr;
-    obs::Counter* package_level_alarms = nullptr;
-    obs::Counter* timeseries_level_alarms = nullptr;
-    obs::Counter* decode_failures = nullptr;
-    obs::Counter* links_seen = nullptr;
-    obs::Counter* links_retired = nullptr;
-    obs::Counter* links_parked = nullptr;
-    obs::Counter* model_swaps = nullptr;
-    obs::Counter* rollbacks = nullptr;
-    obs::Counter* wall_clock_parks = nullptr;
-    obs::Counter* wall_clock_closes = nullptr;
-    obs::Counter* classify_us = nullptr;
-    obs::Counter* adapt_us = nullptr;
-    obs::Gauge* peak_links = nullptr;
-    obs::Gauge* peak_pending = nullptr;
-    obs::Gauge* model_version = nullptr;
+    /// One instrument per kEngineStatFields row, of the row's kind.
+    std::variant<obs::Counter*, obs::Gauge*>
+        stats[std::size(kEngineStatFields)] = {};
     bool on() const { return registry != nullptr; }
   } tele_;
 

@@ -14,25 +14,7 @@ namespace mlad::serve {
 EngineStats aggregate_stats(std::span<const EngineStats> shards) {
   EngineStats out;
   for (const EngineStats& s : shards) {
-    out.frames += s.frames;
-    out.packages += s.packages;
-    out.ticks += s.ticks;
-    out.alarms += s.alarms;
-    out.package_level_alarms += s.package_level_alarms;
-    out.timeseries_level_alarms += s.timeseries_level_alarms;
-    out.decode_failures += s.decode_failures;
-    out.links_seen += s.links_seen;
-    out.links_retired += s.links_retired;
-    out.links_parked += s.links_parked;
-    out.peak_links = std::max(out.peak_links, s.peak_links);
-    out.peak_pending = std::max(out.peak_pending, s.peak_pending);
-    out.model_version = std::max(out.model_version, s.model_version);
-    out.model_swaps += s.model_swaps;
-    out.rollbacks += s.rollbacks;
-    out.wall_clock_parks += s.wall_clock_parks;
-    out.wall_clock_closes += s.wall_clock_closes;
-    out.classify_us += s.classify_us;
-    out.adapt_us += s.adapt_us;
+    for (const EngineStatField& f : kEngineStatFields) f.merge(out, s);
   }
   return out;
 }
@@ -43,10 +25,10 @@ ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
   if (config.shards == 0) {
     throw std::invalid_argument("ShardedEngine: shards must be > 0");
   }
-  if (config.engine.adapter != nullptr) {
+  if (config.engine.adapter != nullptr && config.shards > 1) {
     throw std::invalid_argument(
-        "ShardedEngine: online adaptation requires the unsharded engine "
-        "(shards share the detector read-only)");
+        "ShardedEngine: online adaptation needs shards == 1 (shards share "
+        "the detector read-only)");
   }
   if (sink != nullptr) serialized_.emplace(sink);
   AlarmSink* shard_sink = serialized_ ? &*serialized_ : nullptr;

@@ -17,9 +17,9 @@
 // sink. A full shard queue blocks the pump (lossless backpressure),
 // counted in IngestStats.
 //
-// Online adaptation is mutually exclusive with sharding: shards share the
-// detector read-only, and the adapter hot-swaps its weights. Serve with
-// --adapt runs the single unsharded engine instead.
+// Online adaptation needs shards == 1: shards share the detector
+// read-only, and the adapter hot-swaps its weights. With one shard, that
+// shard's thread drives the OnlineTrainer.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +45,9 @@ struct ShardedEngineConfig {
   /// wall_clock_sweep so a silent tap cannot stall a shard's gate. Ignored
   /// (plain blocking pops) when neither threshold is set.
   int sweep_interval_ms = 10;
-  /// Per-shard engine configuration. `adapter` must stay null (see above);
-  /// `threads` applies per shard (leave at 1 unless cores >> shards).
+  /// Per-shard engine configuration. `adapter` requires shards == 1 (see
+  /// above); `threads` applies per shard (leave at 1 unless cores >>
+  /// shards).
   MonitorEngineConfig engine;
 };
 
@@ -60,20 +61,19 @@ struct IngestStats {
   ingest::SourceHealth source_health;
 };
 
-/// Element-wise aggregation of per-shard stats: counters and timings sum
-/// (classify_us becomes total CPU time inside ticks, so us_per_package()
-/// stays a per-package CPU cost); the peak_* gauges and model_version take
-/// the max — summing per-shard peaks would report a high-water mark no
-/// single engine ever saw. The registry's snapshot aggregation
-/// (obs::MetricsRegistry) applies the same rules, so telemetry and this
-/// struct always agree.
+/// Field-wise aggregation of per-shard stats by each kEngineStatFields
+/// row's kind: counters and timings sum (classify_us becomes total CPU
+/// time inside ticks, so us_per_package() stays a per-package CPU cost);
+/// the peak_* gauges and model_version take the max. The registry's
+/// snapshot aggregation applies the same rules to the same rows, so
+/// telemetry and this struct always agree.
 EngineStats aggregate_stats(std::span<const EngineStats> shards);
 
 class ShardedEngine {
  public:
   /// `detector` and `sink` must outlive the engine; `sink` may be null.
-  /// Shard threads start immediately. Throws if config.engine.adapter is
-  /// set or config.shards is 0.
+  /// Shard threads start immediately. Throws if config.shards is 0, or if
+  /// config.engine.adapter is set with more than one shard.
   ShardedEngine(const detect::CombinedDetector& detector, AlarmSink* sink,
                 const ShardedEngineConfig& config = {});
   ~ShardedEngine();

@@ -9,7 +9,8 @@
 //      are no worse than the frozen model's;
 //  (d) the weight hot-swap machinery (refresh + stream carry-over) is
 //      exact: post-swap ticks equal a cold engine on the new weights with
-//      the same stream state restored.
+//      the same stream state restored;
+//  (e) a one-shard ShardedEngine adapts exactly like the bare engine.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -25,7 +26,9 @@
 #include "ics/features.hpp"
 #include "ics/link_mux.hpp"
 #include "ics/simulator.hpp"
+#include "ingest/package_source.hpp"
 #include "serve/monitor_engine.hpp"
+#include "serve/sharded_engine.hpp"
 
 namespace mlad::adapt {
 namespace {
@@ -120,7 +123,10 @@ struct RunResult {
   AdaptStats adapt_stats;
 };
 
-RunResult run_serve(bool adapt_on, std::size_t interval = 150) {
+/// `sharded`: serve through a one-shard ShardedEngine (pump + shard thread)
+/// instead of pushing into a bare MonitorEngine on this thread.
+RunResult run_serve(bool adapt_on, std::size_t interval = 150,
+                    bool sharded = false) {
   const Fixture& f = fixture();
   std::istringstream in(f.model_bytes);
   const auto detector = detect::load_framework(in);
@@ -133,16 +139,24 @@ RunResult run_serve(bool adapt_on, std::size_t interval = 150) {
     cfg.adapter = trainer.get();
     cfg.adapt_interval = interval;
   }
-  serve::MonitorEngine engine(*detector, &sink, cfg);
-  engine.replay(f.drift_wire);
-
   RunResult result;
+  if (sharded) {
+    serve::ShardedEngineConfig scfg;
+    scfg.engine = cfg;
+    serve::ShardedEngine engine(*detector, &sink, scfg);
+    ingest::CaptureSource source(f.drift_wire);
+    engine.run(source);
+    result.stats = engine.stats();
+  } else {
+    serve::MonitorEngine engine(*detector, &sink, cfg);
+    engine.replay(f.drift_wire);
+    result.stats = engine.stats();
+  }
   for (const serve::AlarmEvent& e : sink.events()) {
     result.alarms.push_back(
         {e.link, e.seq, e.verdict.package_level, e.time});
   }
   result.swaps = sink.swaps();
-  result.stats = engine.stats();
   if (trainer) result.adapt_stats = trainer->stats();
   return result;
 }
@@ -171,6 +185,21 @@ TEST(OnlineAdaptation, AdaptedServeIsFullyDeterministic) {
             second.adapt_stats.windows_harvested);
   EXPECT_EQ(first.adapt_stats.rounds_completed,
             second.adapt_stats.rounds_completed);
+}
+
+TEST(OnlineAdaptation, OneShardShardedEngineAdaptsLikeTheBareEngine) {
+  const RunResult& bare = canonical_run(true);
+  const RunResult sharded = run_serve(true, 150, /*sharded=*/true);
+
+  ASSERT_GE(bare.swaps.size(), 2u)
+      << "fixture produced too few weight publications to test";
+  EXPECT_EQ(sharded.swaps, bare.swaps)
+      << "published versions / swap ticks differ through the shard thread";
+  EXPECT_EQ(sharded.alarms, bare.alarms);
+  EXPECT_EQ(sharded.stats.ticks, bare.stats.ticks);
+  EXPECT_EQ(sharded.stats.model_version, bare.stats.model_version);
+  EXPECT_EQ(sharded.adapt_stats.windows_harvested,
+            bare.adapt_stats.windows_harvested);
 }
 
 TEST(OnlineAdaptation, SwapNeverRewritesAlreadyEmittedVerdicts) {
@@ -302,7 +331,7 @@ TEST(OnlineAdaptation, WeightRefreshPreservesStreamStateExactly) {
   }
 }
 
-TEST(OnlineAdaptation, AdapterRequiresBatchedEngineAndMatchingDetector) {
+TEST(OnlineAdaptation, AdapterRequiresIntervalAndMatchingDetector) {
   const Fixture& f = fixture();
   std::istringstream in(f.model_bytes);
   const auto detector = detect::load_framework(in);
@@ -310,11 +339,6 @@ TEST(OnlineAdaptation, AdapterRequiresBatchedEngineAndMatchingDetector) {
 
   serve::MonitorEngineConfig cfg;
   cfg.adapter = &trainer;
-  cfg.batched = false;
-  EXPECT_THROW(serve::MonitorEngine(*detector, nullptr, cfg),
-               std::invalid_argument);
-
-  cfg.batched = true;
   cfg.adapt_interval = 0;
   EXPECT_THROW(serve::MonitorEngine(*detector, nullptr, cfg),
                std::invalid_argument);

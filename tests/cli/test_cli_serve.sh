@@ -1,0 +1,62 @@
+#!/bin/sh
+# Drives the built `mlad` binary end to end: trains a small model, then
+# checks that
+#   1. the default serve and --shards 4 raise the same alarms,
+#   2. --adapt on the paced-replay front end publishes adapted weights,
+#   3. an out-of-range port and --adapt with several shards are refused.
+#
+# Usage: test_cli_serve.sh <path-to-mlad>
+set -eu
+mlad=$1
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+fail() {
+  echo "FAIL: $*" >&2
+  exit 1
+}
+
+"$mlad" simulate --cycles 3000 --seed 11 --arff train.arff \
+  --capture a.cap > /dev/null
+"$mlad" simulate --cycles 800 --seed 12 --capture b.cap > /dev/null
+"$mlad" train --arff train.arff --model m.model --epochs 8 --hidden 32 \
+  --batch 8 --threads 1 > /dev/null
+
+# 1. Shard count never moves a verdict; only the cross-link order of the
+#    sink lines may differ, so the streams compare as sorted line sets.
+"$mlad" serve --captures a.cap,b.cap --model m.model --sink one.jsonl \
+  > /dev/null
+"$mlad" serve --captures a.cap,b.cap --model m.model --shards 4 \
+  --sink four.jsonl > /dev/null
+test -s one.jsonl || fail "the default serve raised no alarms"
+sort one.jsonl > one.sorted
+sort four.jsonl > four.sorted
+cmp -s one.sorted four.sorted ||
+  fail "--shards 4 alarms differ from the default serve"
+
+# 2. Online adaptation on a front end other than the capture drain, over
+#    anomaly-free traffic (window 3: this small model alarms on about half
+#    of it, so longer verdict-clean windows are rare).
+"$mlad" simulate --cycles 400 --seed 21 --attacks off --capture c.cap \
+  > /dev/null
+"$mlad" simulate --cycles 400 --seed 22 --attacks off --capture d.cap \
+  > /dev/null
+"$mlad" serve --source replay --speed 0 --captures c.cap,d.cap \
+  --model m.model --adapt --adapt-interval 100 --adapt-window 3 \
+  --adapt-min-windows 2 --sink adapt.jsonl > /dev/null
+swaps=$(grep -c '"type": "swap"' adapt.jsonl || true)
+[ "$swaps" -ge 1 ] || fail "serve --adapt --source replay published no weights"
+
+# 3. Refusals. The idle timeout ends a listener that wrongly started.
+if "$mlad" serve --source tcp --listen 70000 --idle-timeout-ms 200 \
+  --model m.model > /dev/null 2>&1; then
+  fail "--listen 70000 was accepted"
+fi
+if "$mlad" serve --captures c.cap,d.cap --model m.model --adapt \
+  --shards 2 > /dev/null 2>&1; then
+  fail "--adapt was accepted with --shards 2"
+fi
+
+echo "cli serve OK: $(wc -l < one.jsonl) alarms at 1 and 4 shards," \
+  "$swaps weight swaps under --adapt --source replay"

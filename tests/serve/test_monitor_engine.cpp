@@ -1,6 +1,7 @@
 // Serve engine (serve/monitor_engine.hpp): the multi-link refactor's
-// contracts. (a) Reference mode on one link is bit-identical to the
-// historical per-package monitor loop. (b) The batched engine on a merged
+// contracts. (a) The per-package reference oracle (tests/support) on one
+// link is bit-identical to the historical monitor loop, and the batched
+// engine tracks it to float rounding. (b) The batched engine on a merged
 // wire reproduces each link's ISOLATED verdict sequence exactly — streams
 // are independent rows, so batching is a pure throughput optimization.
 // (c) Links join and leave mid-run without disturbing anyone else.
@@ -16,6 +17,7 @@
 #include "ics/features.hpp"
 #include "ics/link_mux.hpp"
 #include "ics/simulator.hpp"
+#include "reference_monitor.hpp"
 #include "serve/monitor_engine.hpp"
 
 namespace mlad::serve {
@@ -82,7 +84,7 @@ std::vector<AlarmKey> keys(const std::vector<AlarmEvent>& events,
   return out;
 }
 
-TEST(MonitorEngine, ReferenceModeMatchesManualMonitorLoop) {
+TEST(MonitorEngine, ReferenceReplayMatchesManualMonitorLoop) {
   const auto& f = fixture();
   const detect::CombinedDetector& det = *f.framework.detector;
   const ics::Capture& capture = f.captures[0];
@@ -107,15 +109,13 @@ TEST(MonitorEngine, ReferenceModeMatchesManualMonitorLoop) {
   }
 
   CountingAlarmSink sink;
-  MonitorEngineConfig cfg;
-  cfg.batched = false;
-  MonitorEngine engine(det, &sink, cfg);
-  for (const ics::RawFrame& frame : capture) engine.push(0, frame);
-  engine.finish();
+  const std::vector<ics::Capture> one = {capture};
+  const EngineStats stats =
+      reference_replay(det, ics::merge_captures(one), &sink);
 
-  EXPECT_EQ(engine.stats().packages, capture.size());
+  EXPECT_EQ(stats.packages, capture.size());
   EXPECT_EQ(keys(sink.events()), want)
-      << "reference engine diverged from the historical monitor loop";
+      << "reference oracle diverged from the historical monitor loop";
 }
 
 TEST(MonitorEngine, MergedWireReproducesIsolatedVerdictsExactly) {
@@ -213,27 +213,30 @@ TEST(MonitorEngine, ThreadCountChangesNothingButWallTime) {
   EXPECT_EQ(stats1.timeseries_level_alarms, stats4.timeseries_level_alarms);
 }
 
-TEST(MonitorEngine, BatchedTracksReferenceEngine) {
+TEST(MonitorEngine, BatchedTracksReferenceReplay) {
   const auto& f = fixture();
   const detect::CombinedDetector& det = *f.framework.detector;
 
-  const auto run = [&](bool batched) {
-    CountingAlarmSink sink;
-    MonitorEngineConfig cfg;
-    cfg.batched = batched;
-    MonitorEngine engine(det, &sink, cfg);
-    engine.replay(ics::merge_captures(f.captures));
-    return std::make_pair(sink.count(), engine.stats().packages);
-  };
-  const auto [batched_alarms, batched_packages] = run(true);
-  const auto [ref_alarms, ref_packages] = run(false);
-  EXPECT_EQ(batched_packages, ref_packages);
-  // Batched kernels round differently from the per-sample reference, so
-  // verdicts agree to rounding, not bitwise (DESIGN.md §5).
-  const double slack =
-      5.0 + 0.01 * static_cast<double>(ref_alarms);
-  EXPECT_NEAR(static_cast<double>(batched_alarms),
-              static_cast<double>(ref_alarms), slack);
+  // One link (the `mlad monitor` shape) and the merged three-link wire.
+  const std::vector<ics::Capture> single = {f.captures[0]};
+  for (const std::vector<ics::Capture>* captures : {&single, &f.captures}) {
+    const std::vector<ics::LinkFrame> wire = ics::merge_captures(*captures);
+    CountingAlarmSink batched_sink;
+    MonitorEngine engine(det, &batched_sink);
+    engine.replay(wire);
+    CountingAlarmSink ref_sink;
+    const EngineStats ref = reference_replay(det, wire, &ref_sink);
+
+    EXPECT_EQ(engine.stats().packages, ref.packages);
+    EXPECT_EQ(engine.stats().links_seen, ref.links_seen);
+    // Batched kernels round differently from the per-sample reference, so
+    // verdicts agree to rounding, not bitwise (DESIGN.md §5).
+    const double slack = 5.0 + 0.01 * static_cast<double>(ref.alarms);
+    EXPECT_NEAR(static_cast<double>(batched_sink.count()),
+                static_cast<double>(ref_sink.count()), slack)
+        << captures->size() << "-link wire";
+    EXPECT_EQ(ref_sink.count(), ref.alarms);
+  }
 }
 
 TEST(MonitorEngine, AddressKeyedPushDemuxesMultiDropLine) {
@@ -418,8 +421,8 @@ TEST(MonitorEngine, CloseAfterRetiresAStalledLinkToAFreshStream) {
   // per-link decode session (CRC window, inter-arrival clock) survives a
   // close by design, so the rejoining package's Table-I features differ
   // from a fresh session's (whose first interval is 0) and that one input
-  // perturbs the LSTM history — compare alarm volume with slack, like the
-  // batched-vs-reference test.
+  // perturbs the LSTM history — compare alarm volume with slack, like
+  // BatchedTracksReferenceReplay.
   std::size_t tail_alarms = 0;
   for (const AlarmKey& k : keys(sink.events(), 1u)) {
     tail_alarms += k.seq >= half ? 1 : 0;

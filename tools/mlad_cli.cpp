@@ -10,9 +10,9 @@
 // capture); `train` builds and persists the two-level detector from the
 // anomaly-free portion of a log; `evaluate` scores a labeled log;
 // `monitor` replays one raw byte capture through the Modbus decoder and
-// the detector, printing alarms; `serve` interleaves several captures into
-// one wire and monitors every link concurrently through the batched serve
-// engine (DESIGN.md §8) — the deployed multi-link data path.
+// the detector, printing alarms; `serve` drains a capture, replay or socket
+// front end into the sharded batched serve engine (DESIGN.md §8, §10) —
+// the deployed multi-link data path.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -107,6 +108,29 @@ std::string get_or(const std::map<std::string, std::string>& flags,
                    const std::string& key, const std::string& fallback) {
   const auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
+}
+
+/// A non-negative integer flag value checked against T's range. std::stoul
+/// alone takes "-1" and anything that fits unsigned long, and a cast to a
+/// narrower type then wraps silently (--listen 70000 would bind 4464).
+template <typename T>
+T checked_uint(const std::string& key, const std::string& text) {
+  constexpr auto kMax =
+      static_cast<unsigned long long>(std::numeric_limits<T>::max());
+  std::size_t used = 0;
+  unsigned long long v = 0;
+  try {
+    v = std::stoull(text, &used);
+  } catch (const std::logic_error&) {
+    // Not a number, or past unsigned long long: `used` stays 0.
+  }
+  if (used == 0 || used != text.size() || text.find('-') != std::string::npos ||
+      v > kMax) {
+    throw std::runtime_error("--" + key + " must be an integer in [0, " +
+                             std::to_string(kMax) + "], got \"" + text +
+                             "\"");
+  }
+  return static_cast<T>(v);
 }
 
 /// Startup banner for the compute-heavy subcommands: which SIMD kernel
@@ -328,15 +352,11 @@ int cmd_monitor(const std::map<std::string, std::string>& flags) {
   const std::size_t max_alarms =
       std::stoul(get_or(flags, "max-alarms", "20"));
 
-  // The single-link case of the serve engine, in reference mode: one
-  // classify_and_consume per package on one stream — bit-identical verdicts
-  // (and alarm lines) to the historical hand-rolled loop, which this
-  // replaces. (It also fixes that loop reading frame.bytes[0] without a
-  // size check: the sink prints the decoder-salvaged header fields.)
-  serve::MonitorEngineConfig cfg;
-  cfg.batched = false;
+  // The single-link case of the batched serve engine: verdicts match the
+  // historical per-package loop (tests/support/reference_monitor.hpp) to
+  // float rounding, not bitwise (DESIGN.md §5).
   serve::ConsoleAlarmSink sink(stdout, max_alarms);
-  serve::MonitorEngine engine(*detector, &sink, cfg);
+  serve::MonitorEngine engine(*detector, &sink);
   for (const ics::RawFrame& frame : capture) engine.push(0, frame);
   engine.finish();
   sink.flush();
@@ -380,7 +400,7 @@ void print_link_table(
 }
 
 /// Serve telemetry (DESIGN.md §14): --metrics-port / --stats-out attach a
-/// MetricsRegistry plus its exporters to either serve path. Declared before
+/// MetricsRegistry plus its exporters to the serve engine. Declared before
 /// the engine so the registry outlives every instrument pointer.
 struct TelemetryRig {
   std::unique_ptr<obs::MetricsRegistry> registry;
@@ -397,7 +417,7 @@ TelemetryRig setup_telemetry(const std::map<std::string, std::string>& flags) {
   if (want_http) {
     rig.http = std::make_unique<obs::MetricsHttpServer>(
         *rig.registry,
-        static_cast<std::uint16_t>(std::stoul(flags.at("metrics-port"))));
+        checked_uint<std::uint16_t>("metrics-port", flags.at("metrics-port")));
     std::printf("metrics: http://127.0.0.1:%u/metrics\n",
                 static_cast<unsigned>(rig.http->port()));
     std::fflush(stdout);  // smoke drivers parse the port before curling
@@ -435,27 +455,19 @@ void print_source_health(const ingest::SourceHealth& h) {
       static_cast<std::size_t>(h.faults_injected));
 }
 
-/// The sharded async path (DESIGN.md §10): --shards and/or --source select
-/// it. A pluggable front end feeds an ingest pump that hashes links onto N
-/// independent engine shards; per-link verdicts stay bit-identical to the
-/// unsharded lockstep engine for any shard count.
-int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
+/// `mlad serve` (DESIGN.md §8, §10): a front end (--source, default
+/// capture) feeds an ingest pump that hashes links onto --shards N (default
+/// 1) engine shards; per-link verdicts are bit-identical for any shard
+/// count. --adapt needs --shards 1.
+int cmd_serve(const std::map<std::string, std::string>& flags) {
   const auto detector = detect::load_framework_file(need(flags, "model"));
-  if (get_or(flags, "adapt", "off") != "off") {
-    throw std::runtime_error(
-        "serve: --adapt requires the unsharded engine (omit --shards and "
-        "--source)");
-  }
 
   serve::ShardedEngineConfig cfg;
   cfg.shards = std::stoul(get_or(flags, "shards", "1"));
   cfg.queue_capacity = std::stoul(get_or(flags, "queue-cap", "4096"));
   cfg.engine.threads = std::stoul(get_or(flags, "threads", "1"));
-  const std::string engine_mode = get_or(flags, "engine", "batched");
-  if (engine_mode != "batched" && engine_mode != "reference") {
-    throw std::runtime_error("serve: --engine must be batched or reference");
-  }
-  cfg.engine.batched = engine_mode == "batched";
+  // Straggler policy: take a silent link out of the lockstep gate once some
+  // other link has T packages queued behind it (DESIGN.md §9).
   cfg.engine.park_after = std::stoul(get_or(flags, "park-after", "0"));
   cfg.engine.close_after = std::stoul(get_or(flags, "close-after", "0"));
   cfg.engine.park_hysteresis =
@@ -464,8 +476,8 @@ int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
   // silent out of the gate by elapsed real time, not queue depth.
   cfg.engine.park_after_ms = std::stod(get_or(flags, "park-after-ms", "0"));
   cfg.engine.close_after_ms = std::stod(get_or(flags, "close-after-ms", "0"));
-  cfg.sweep_interval_ms =
-      static_cast<int>(std::stoul(get_or(flags, "sweep-interval-ms", "10")));
+  cfg.sweep_interval_ms = checked_uint<int>(
+      "sweep-interval-ms", get_or(flags, "sweep-interval-ms", "10"));
 
   // Front end: an in-memory capture drain, a paced pcap-style replay, or a
   // live UDP/TCP socket listener receiving MLF1 records.
@@ -479,8 +491,8 @@ int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
     source = std::make_unique<ingest::PcapReplaySource>(
         ics::merge_captures(load_captures(flags)), speed);
   } else if (source_kind == "udp" || source_kind == "tcp") {
-    const auto port = static_cast<std::uint16_t>(
-        std::stoul(get_or(flags, "listen", "5502")));
+    const auto port =
+        checked_uint<std::uint16_t>("listen", get_or(flags, "listen", "5502"));
     const std::string bind_addr = get_or(flags, "bind", "127.0.0.1");
     std::unique_ptr<ingest::SocketSource> sock;
     if (source_kind == "udp") {
@@ -488,7 +500,8 @@ int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
     } else {
       sock = std::make_unique<ingest::TcpSource>(
           port, bind_addr, std::stoul(get_or(flags, "max-conns", "16")),
-          static_cast<int>(std::stoul(get_or(flags, "idle-timeout-ms", "0"))));
+          checked_uint<int>("idle-timeout-ms",
+                            get_or(flags, "idle-timeout-ms", "0")));
     }
     std::printf("listening on %s %s:%u (MLF1 records; FIN record ends the "
                 "stream)\n",
@@ -506,6 +519,8 @@ int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
         std::move(source), ingest::FaultSpec::parse(it->second));
   }
 
+  // Console unless --sink names a file (.csv → CSV, else JSONL); the
+  // console then only shows the closing stats.
   const std::size_t max_alarms =
       std::stoul(get_or(flags, "max-alarms", "20"));
   std::unique_ptr<serve::AlarmSink> file_sink;
@@ -520,81 +535,6 @@ int cmd_serve_sharded(const std::map<std::string, std::string>& flags) {
   maybe_attach_sigdb(flags, *detector, sigdb_view);
   TelemetryRig rig = setup_telemetry(flags);
   cfg.engine.metrics = rig.registry.get();
-  serve::ShardedEngine engine(*detector, sink, cfg);
-  engine.run(*source);
-  sink->flush();
-  finish_telemetry(rig);
-
-  const serve::EngineStats s = engine.stats();
-  const serve::IngestStats in = engine.ingest_stats();
-  std::printf(
-      "serve[%s ×%zu shards, source=%s]: %zu links, %zu packages, "
-      "%zu alarms (%.2f%%), %.2f µs/package (CPU), %zu ticks\n",
-      cfg.engine.batched ? "batched" : "reference", engine.shards(),
-      source_kind.c_str(), static_cast<std::size_t>(s.links_seen),
-      static_cast<std::size_t>(s.packages),
-      static_cast<std::size_t>(s.alarms),
-      s.packages == 0 ? 0.0
-                      : 100.0 * static_cast<double>(s.alarms) /
-                            static_cast<double>(s.packages),
-      s.us_per_package(), static_cast<std::size_t>(s.ticks));
-  std::printf(
-      "ingest: %zu frames routed, %zu producer stalls, peak queue depth "
-      "%zu/%zu\n",
-      static_cast<std::size_t>(in.frames_routed),
-      static_cast<std::size_t>(in.producer_blocks),
-      static_cast<std::size_t>(in.peak_queue_depth), cfg.queue_capacity);
-  print_source_health(in.source_health);
-  if (s.links_parked + s.wall_clock_parks + s.wall_clock_closes > 0) {
-    std::printf(
-        "straggler policy: %zu parks (%zu wall-clock), %zu wall-clock "
-        "closes\n",
-        static_cast<std::size_t>(s.links_parked),
-        static_cast<std::size_t>(s.wall_clock_parks),
-        static_cast<std::size_t>(s.wall_clock_closes));
-  }
-  const std::vector<serve::EngineStats> per_shard = engine.shard_stats();
-  for (std::size_t i = 0; i < per_shard.size(); ++i) {
-    const serve::EngineStats& ss = per_shard[i];
-    std::printf("  shard %zu: %zu links, %zu packages, %zu alarms, "
-                "%.2f µs/package\n",
-                i, static_cast<std::size_t>(ss.links_seen),
-                static_cast<std::size_t>(ss.packages),
-                static_cast<std::size_t>(ss.alarms), ss.us_per_package());
-  }
-  print_link_table(engine.link_stats());
-  return 0;
-}
-
-int cmd_serve(const std::map<std::string, std::string>& flags) {
-  // --shards / --source select the sharded async ingestion path; without
-  // them serve stays the single lockstep engine (bit-identical to previous
-  // releases, and the only mode supporting --adapt).
-  if (flags.count("shards") != 0 || flags.count("source") != 0) {
-    return cmd_serve_sharded(flags);
-  }
-  const std::vector<ics::Capture> captures = load_captures(flags);
-  const auto detector = detect::load_framework_file(need(flags, "model"));
-  const std::size_t max_alarms =
-      std::stoul(get_or(flags, "max-alarms", "20"));
-
-  serve::MonitorEngineConfig cfg;
-  cfg.threads = std::stoul(get_or(flags, "threads", "1"));
-  // --engine reference: N independent per-package monitors (the batched
-  // engine's baseline; same verdicts up to float rounding, much slower).
-  const std::string engine_mode = get_or(flags, "engine", "batched");
-  if (engine_mode != "batched" && engine_mode != "reference") {
-    throw std::runtime_error("serve: --engine must be batched or reference");
-  }
-  cfg.batched = engine_mode == "batched";
-  // Straggler policy: take a silent link out of the lockstep gate once some
-  // other link has T packages queued behind it (DESIGN.md §9).
-  cfg.park_after = std::stoul(get_or(flags, "park-after", "0"));
-  cfg.close_after = std::stoul(get_or(flags, "close-after", "0"));
-  cfg.park_hysteresis = std::stoul(get_or(flags, "park-hysteresis", "0"));
-
-  TelemetryRig rig = setup_telemetry(flags);
-  cfg.metrics = rig.registry.get();
 
   // --adapt: background incremental re-training with hot-swapped weights
   // (DESIGN.md §9). Default off — without it the serve data path is
@@ -622,58 +562,28 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     }
     adapter = std::make_unique<adapt::OnlineTrainer>(
         *detector, acfg, warm ? &*warm : nullptr);
-    cfg.adapter = adapter.get();
-    cfg.adapt_interval = std::stoul(get_or(flags, "adapt-interval", "512"));
+    cfg.engine.adapter = adapter.get();
+    cfg.engine.adapt_interval =
+        std::stoul(get_or(flags, "adapt-interval", "512"));
     // Auto-rollback (DESIGN.md §12): score each swap's first N packages
     // against the N before it; roll back on an alarm-rate spike.
-    cfg.rollback_window = std::stoul(get_or(flags, "rollback-window", "0"));
-    cfg.rollback_ratio = std::stod(get_or(flags, "rollback-ratio", "4"));
+    cfg.engine.rollback_window =
+        std::stoul(get_or(flags, "rollback-window", "0"));
+    cfg.engine.rollback_ratio = std::stod(get_or(flags, "rollback-ratio", "4"));
   }
 
-  // Console unless --sink names a file (.csv → CSV, else JSONL); the
-  // console then only shows the closing stats.
-  std::unique_ptr<serve::AlarmSink> file_sink;
-  serve::ConsoleAlarmSink console(stdout, max_alarms, /*show_link=*/true);
-  serve::AlarmSink* sink = &console;
-  if (const auto it = flags.find("sink"); it != flags.end()) {
-    file_sink = serve::make_file_sink(it->second);
-    sink = file_sink.get();
-  }
-
-  std::optional<sigdb::SigDbView> sigdb_view;
-  maybe_attach_sigdb(flags, *detector, sigdb_view);
-
-  // Each capture replays as one PLC link on a time-ordered interleaved wire.
-  serve::MonitorEngine engine(*detector, sink, cfg);
-  std::optional<ingest::FaultStats> fault_stats;
-  ingest::SourceHealth health;
-  if (const auto it = flags.find("fault-spec"); it != flags.end()) {
-    // Same seeded fault decoration the sharded path offers, over the
-    // merged capture wire.
-    ingest::FaultySource faulty(std::make_unique<ingest::CaptureSource>(
-                                    ics::merge_captures(captures)),
-                                ingest::FaultSpec::parse(it->second));
-    ics::LinkFrame lf;
-    while (faulty.next(lf)) engine.push(lf.link, lf.frame);
-    engine.finish();
-    fault_stats = faulty.fault_stats();
-    health = faulty.health();
-  } else {
-    engine.replay(ics::merge_captures(captures));
-  }
+  serve::ShardedEngine engine(*detector, sink, cfg);
+  engine.run(*source);
   sink->flush();
-  if (rig.registry) {
-    ingest::SourceHealthMetrics hm;
-    hm.bind(*rig.registry);
-    hm.publish(health);
-  }
   finish_telemetry(rig);
 
-  const serve::EngineStats& s = engine.stats();
+  const serve::EngineStats s = engine.stats();
+  const serve::IngestStats in = engine.ingest_stats();
   std::printf(
-      "serve[%s]: %zu links, %zu packages, %zu alarms (%.2f%%), "
-      "%.2f µs/package, %zu ticks (mean batch %.2f)\n",
-      cfg.batched ? "batched" : "reference",
+      "serve[%zu shard%s, source=%s]: %zu links, %zu packages, "
+      "%zu alarms (%.2f%%), %.2f µs/package (CPU), %zu ticks (mean batch "
+      "%.2f)\n",
+      engine.shards(), engine.shards() == 1 ? "" : "s", source_kind.c_str(),
       static_cast<std::size_t>(s.links_seen),
       static_cast<std::size_t>(s.packages),
       static_cast<std::size_t>(s.alarms),
@@ -681,20 +591,32 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
                       : 100.0 * static_cast<double>(s.alarms) /
                             static_cast<double>(s.packages),
       s.us_per_package(), static_cast<std::size_t>(s.ticks), s.mean_batch());
-  if (s.links_parked > 0) {
-    std::printf("straggler policy: %zu parks\n",
-                static_cast<std::size_t>(s.links_parked));
-  }
-  if (fault_stats) {
+  std::printf(
+      "ingest: %zu frames routed, %zu producer stalls, peak queue depth "
+      "%zu/%zu\n",
+      static_cast<std::size_t>(in.frames_routed),
+      static_cast<std::size_t>(in.producer_blocks),
+      static_cast<std::size_t>(in.peak_queue_depth), cfg.queue_capacity);
+  print_source_health(in.source_health);
+  if (s.links_parked + s.wall_clock_parks + s.wall_clock_closes > 0) {
     std::printf(
-        "faults injected: %zu drops, %zu truncations, %zu corruptions, "
-        "%zu stalls\n",
-        static_cast<std::size_t>(fault_stats->drops),
-        static_cast<std::size_t>(fault_stats->truncations),
-        static_cast<std::size_t>(fault_stats->corruptions),
-        static_cast<std::size_t>(fault_stats->stalls));
+        "straggler policy: %zu parks (%zu wall-clock), %zu wall-clock "
+        "closes\n",
+        static_cast<std::size_t>(s.links_parked),
+        static_cast<std::size_t>(s.wall_clock_parks),
+        static_cast<std::size_t>(s.wall_clock_closes));
   }
-  print_source_health(health);
+  if (engine.shards() > 1) {
+    const std::vector<serve::EngineStats> per_shard = engine.shard_stats();
+    for (std::size_t i = 0; i < per_shard.size(); ++i) {
+      const serve::EngineStats& ss = per_shard[i];
+      std::printf("  shard %zu: %zu links, %zu packages, %zu alarms, "
+                  "%.2f µs/package\n",
+                  i, static_cast<std::size_t>(ss.links_seen),
+                  static_cast<std::size_t>(ss.packages),
+                  static_cast<std::size_t>(ss.alarms), ss.us_per_package());
+    }
+  }
   if (adapter) {
     const adapt::AdaptStats as = adapter->stats();
     std::printf(
@@ -760,8 +682,7 @@ void tap_send(int fd, std::span<const std::uint8_t> bytes) {
 /// so the listener's duplicate discard is exercised too).
 int cmd_tap(const std::map<std::string, std::string>& flags) {
   const std::string host = get_or(flags, "host", "127.0.0.1");
-  const auto port =
-      static_cast<std::uint16_t>(std::stoul(need(flags, "port")));
+  const auto port = checked_uint<std::uint16_t>("port", need(flags, "port"));
   const auto token =
       static_cast<std::uint32_t>(std::stoul(get_or(flags, "token", "0")));
   const std::size_t resend = std::stoul(get_or(flags, "resend", "8"));
@@ -983,17 +904,16 @@ int usage() {
       "           [--sigdb f.sigdb]   mmap the compact signature index\n"
       "           (mlad sigdb build) and route membership/id lookups\n"
       "           through it — verdicts bit-identical to the in-RAM path\n"
-      "           [--engine batched|reference]   (each capture replays\n"
-      "           as one PLC link; one batched LSTM step per tick\n"
-      "           advances every link — per-link verdicts are\n"
-      "           bit-identical to monitoring that link alone)\n"
+      "           (each capture replays as one PLC link; one batched LSTM\n"
+      "           step per tick advances every link — per-link verdicts\n"
+      "           are bit-identical to monitoring that link alone)\n"
       "           [--park-after T] [--close-after T]   straggler policy:\n"
       "           park (state kept across rejoin) or close a link that\n"
       "           stalls the gate for T ticks' worth of wire\n"
-      "           [--shards N] [--queue-cap Q]   sharded async ingestion:\n"
-      "           links hash onto N engine shards, each fed by a bounded\n"
-      "           SPSC queue (Q frames; a full queue back-pressures the\n"
-      "           pump); per-link verdicts are bit-identical to --shards 1\n"
+      "           [--shards N] [--queue-cap Q]   links hash onto N engine\n"
+      "           shards (default 1), each fed by a bounded SPSC queue\n"
+      "           (Q frames; a full queue back-pressures the pump);\n"
+      "           per-link verdicts are bit-identical for any N\n"
       "           [--source capture|replay|udp|tcp]   front end (default\n"
       "           capture = drain --captures at full speed):\n"
       "             replay  paced pcap-style replay of --captures with\n"
@@ -1014,7 +934,7 @@ int usage() {
       "           stall_ms, disconnect_every); delivered well-formed\n"
       "           packages keep bit-identical verdicts\n"
       "           [--park-after-ms T] [--close-after-ms T]   wall-clock\n"
-      "           straggler policy for live taps (sharded serve): a silent\n"
+      "           straggler policy for live taps: a silent\n"
       "           link blocking the gate for T real ms is parked / closed\n"
       "           [--sweep-interval-ms T] [--park-hysteresis H]   sweep\n"
       "           granularity; a recently-rejoined link needs H extra ticks\n"
@@ -1026,7 +946,8 @@ int usage() {
       "           online adaptation: harvest verdict-clean windows into a\n"
       "           seeded replay buffer, re-train on a background thread\n"
       "           (warm-start Adam), hot-swap weights every N ticks; a\n"
-      "           round below W buffered windows is skipped (no swap)\n"
+      "           round below W buffered windows is skipped (no swap);\n"
+      "           any --source, needs --shards 1\n"
       "           [--rollback-window N] [--rollback-ratio R]\n"
       "           [--adapt-history H]   adaptation auto-rollback: after a\n"
       "           swap, compare the alarm rate over the next N packages\n"
