@@ -92,9 +92,8 @@ class SpscQueue {
 
   /// Dequeue like pop(), but give up after `timeout_ms` without an item.
   /// kTimeout means "nothing yet, queue still open" — the consumer can run
-  /// housekeeping (e.g. the serve shards' wall-clock straggler sweep,
-  /// DESIGN.md §12) and come back. kClosed is pop()'s false: closed AND
-  /// drained.
+  /// housekeeping (e.g. the serve shards' straggler clock, DESIGN.md §12)
+  /// and come back. kClosed is pop()'s false: closed AND drained.
   PopResult pop_for(T& out, int timeout_ms) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (!not_empty_.wait_for(lock, std::chrono::milliseconds(timeout_ms),

@@ -1,6 +1,7 @@
 #include "serve/monitor_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "adapt/online_trainer.hpp"
@@ -52,6 +53,25 @@ MonitorEngine::MonitorEngine(const detect::CombinedDetector& detector,
       throw std::invalid_argument(
           "MonitorEngine: rollback_ratio must be > 0");
     }
+  }
+  for (const double ms : {config_.park_after_ms, config_.close_after_ms,
+                          config_.park_hysteresis_ms}) {
+    if (!std::isfinite(ms) || ms < 0.0) {
+      throw std::invalid_argument(
+          "MonitorEngine: straggler thresholds must be finite and >= 0 ms");
+    }
+  }
+  // An eighth of the smallest set threshold bounds a rung's overshoot to
+  // 12.5 %; the 10 ms cap keeps long thresholds responsive for the price
+  // of one idle wakeup per 10 ms.
+  const double park_ms = config_.park_after_ms;
+  const double close_ms = config_.close_after_ms;
+  const double smallest = park_ms > 0.0 && close_ms > 0.0
+                              ? std::min(park_ms, close_ms)
+                              : std::max(park_ms, close_ms);
+  if (smallest > 0.0) {
+    sweep_cadence_ms_ =
+        static_cast<int>(std::clamp(smallest / 8.0, 1.0, 10.0));
   }
   if (config_.metrics != nullptr) {
     // Register this engine's own instances up front (the registry sums
@@ -155,10 +175,8 @@ void MonitorEngine::join(ics::LinkId id, Link& link) {
   link.parked = false;
   if (resuming) {
     --parked_count_;
-    link.rejoined_at = stats_.ticks;
-    link.parked_wall_ms = 0.0;
-  }
-  if (!resuming) {
+    link.park_clock_ms = clock_ms_;
+  } else {
     ++stats_.links_seen;
     // A fresh stream breaks any partial harvest window of a previous
     // incarnation of this link id.
@@ -235,8 +253,7 @@ void MonitorEngine::park(std::size_t s) {
   batch_.shrink(last);
   link.slot = kNoSlot;
   link.parked = true;
-  link.parked_since = stats_.ticks;
-  link.parked_wall_ms = 0.0;
+  link.park_clock_ms = clock_ms_;
   slots_.pop_back();
   slot_links_.pop_back();
   ++parked_count_;
@@ -252,87 +269,19 @@ void MonitorEngine::retire_parked(ics::LinkId id, Link& link) {
   if (config_.adapter != nullptr) config_.adapter->stream_break(id);
 }
 
-void MonitorEngine::escalate_parked() {
-  if (parked_count_ == 0 || config_.close_after == 0 ||
-      config_.park_after == 0 || config_.close_after <= config_.park_after) {
-    return;
-  }
-  // The wire keeps ticking while a link is parked, so the tick counter is
-  // a real clock for its silence: parked at park_after ticks of it,
-  // retired once the total reaches close_after.
-  const std::uint64_t grace = config_.close_after - config_.park_after;
-  for (auto& [id, link] : links_) {
-    if (link.parked && stats_.ticks - link.parked_since >= grace) {
-      retire_parked(id, link);
-    }
-  }
-}
-
-bool MonitorEngine::in_park_hysteresis(const Link& link) const {
-  return config_.park_hysteresis != 0 && link.stats.parks > 0 &&
-         stats_.ticks - link.rejoined_at < config_.park_hysteresis;
-}
-
-bool MonitorEngine::apply_straggler_policy() {
-  const bool park_enabled = config_.park_after != 0;
-  const bool close_enabled = config_.close_after != 0;
-  if (!park_enabled && !close_enabled) return false;
-  // "Silent for T ticks" in gate terms: on a time-ordered wire the links
-  // take turns, so a healthy gate keeps every queue O(1); when one link has
-  // T packages queued while another has none, the empty link has been
-  // silent for T ticks' worth of wire. The lower threshold acts first
-  // (park, the gentler policy, wins a tie).
-  std::size_t max_pending = 0;
-  for (const Link* link : slot_links_) {
-    max_pending = std::max(max_pending, link->queue.size());
-  }
-  const bool park_first =
-      park_enabled &&
-      (!close_enabled || config_.park_after <= config_.close_after);
-  const std::size_t threshold =
-      park_first ? config_.park_after : config_.close_after;
-  if (max_pending < threshold) return false;
-
+bool MonitorEngine::advance_clock(double elapsed_ms) {
+  if (sweep_cadence_ms_ == 0) return false;
+  clock_ms_ += elapsed_ms;
+  const double park_ms = config_.park_after_ms;
+  const double close_ms = config_.close_after_ms;
   bool changed = false;
-  for (std::size_t s = slots_.size(); s-- > 0;) {
-    Link& link = *slot_links_[s];
-    if (!link.queue.empty() || link.closed) continue;
-    // Hysteresis: a link fresh out of a park needs park_hysteresis EXTRA
-    // pending pressure before it may re-park — a flapping tap stops
-    // churning through snapshot/restore cycles, yet liveness holds (queue
-    // depth keeps growing while it blocks, so the raised bar is met
-    // eventually).
-    if (park_first && in_park_hysteresis(link) &&
-        max_pending < threshold + config_.park_hysteresis) {
-      continue;
-    }
-    if (park_first) {
-      park(s);
-    } else {
-      link.closed = true;  // retire_drained drops it on the next pass
-    }
-    changed = true;
-  }
-  return changed;
-}
-
-bool MonitorEngine::wall_clock_sweep(double elapsed_ms) {
-  if (config_.park_after_ms <= 0.0 && config_.close_after_ms <= 0.0) {
-    return false;
-  }
-  bool changed = false;
-  // Parked links age toward the close escalation on the same clock,
-  // whether they were parked by queue depth or by an earlier sweep.
-  if (config_.close_after_ms > 0.0 && parked_count_ > 0) {
-    const double grace = config_.park_after_ms > 0.0
-                             ? config_.close_after_ms - config_.park_after_ms
-                             : config_.close_after_ms;
+  // Parked links age toward the close rung on the same clock, whether or
+  // not the gate is still blocked.
+  if (close_ms > 0.0 && parked_count_ > 0) {
     for (auto& [id, link] : links_) {
-      if (!link.parked) continue;
-      link.parked_wall_ms += elapsed_ms;
-      if (link.parked_wall_ms >= grace) {
+      if (link.parked && clock_ms_ - link.park_clock_ms >= close_ms - park_ms) {
         retire_parked(id, link);
-        ++stats_.wall_clock_closes;
+        ++stats_.straggler_closes;
         changed = true;
       }
     }
@@ -354,22 +303,26 @@ bool MonitorEngine::wall_clock_sweep(double elapsed_ms) {
     return changed;
   }
   gate_blocked_ms_ += elapsed_ms;
-  const bool close_now = config_.close_after_ms > 0.0 &&
-                         gate_blocked_ms_ >= config_.close_after_ms;
-  const bool park_now = config_.park_after_ms > 0.0 &&
-                        gate_blocked_ms_ >= config_.park_after_ms;
-  if (close_now || park_now) {
-    for (std::size_t s = slots_.size(); s-- > 0;) {
-      Link& link = *slot_links_[s];
-      if (!link.queue.empty() || link.closed) continue;
-      if (!close_now && in_park_hysteresis(link)) continue;  // damped
-      if (park_now && !close_now) {
-        park(s);
-        ++stats_.wall_clock_parks;
-      } else {
-        link.closed = true;
-        ++stats_.wall_clock_closes;
-      }
+  const double blocked_since = clock_ms_ - gate_blocked_ms_;
+  for (std::size_t s = slots_.size(); s-- > 0;) {
+    Link& link = *slot_links_[s];
+    if (!link.queue.empty() || link.closed) continue;
+    if (close_ms > 0.0 && gate_blocked_ms_ >= close_ms) {
+      link.closed = true;  // retire_drained drops it on the retried tick
+      ++stats_.straggler_closes;
+      changed = true;
+      continue;
+    }
+    // Hysteresis: a link that stalls again soon after rejoining must stay
+    // blocked longer before it re-parks, so a flapping tap stops churning
+    // through snapshot/restore cycles.
+    const bool flapping =
+        link.stats.parks > 0 &&
+        blocked_since - link.park_clock_ms < config_.park_hysteresis_ms;
+    if (park_ms > 0.0 &&
+        gate_blocked_ms_ >=
+            park_ms + (flapping ? config_.park_hysteresis_ms : 0.0)) {
+      park(s);
       changed = true;
     }
   }
@@ -384,18 +337,14 @@ void MonitorEngine::maybe_tick() {
     // Lockstep gate: a tick advances EVERY active stream, so it fires only
     // once each active link has its next package decoded. On a time-ordered
     // wire links take turns, so queues stay O(1); a link that stops
-    // producing must be close()d for the others to keep flowing.
+    // producing must be close()d, or parked/closed by advance_clock, for
+    // the others to keep flowing.
     const std::size_t n = slots_.size();
     bool ready = true;
     for (std::size_t s = 0; s < n && ready; ++s) {
       ready = !slot_links_[s]->queue.empty();
     }
-    if (!ready) {
-      // A silent link is blocking everyone: the straggler policy may take
-      // it out of the gate, after which the tick can be retried.
-      if (apply_straggler_policy()) continue;
-      return;
-    }
+    if (!ready) return;
 
     std::uint64_t tick_start = 0;
     if (tele_.on()) {
@@ -421,7 +370,6 @@ void MonitorEngine::maybe_tick() {
     stats_.classify_us += sw.elapsed_us();
     ++stats_.ticks;
     gate_blocked_ms_ = 0.0;  // the gate moved; the stall clock restarts
-    escalate_parked();
 
     const std::uint64_t dispatch_start = tele_.on() ? obs::now_ns() : 0;
     for (std::size_t s = 0; s < n; ++s) {

@@ -52,41 +52,30 @@ struct MonitorEngineConfig {
   std::size_t threads = 1;
   std::size_t crc_window = 50;  ///< per-link rolling CRC window (§VII)
 
-  // ---- straggler policy (DESIGN.md §9) ------------------------------------
+  // ---- straggler ladder (DESIGN.md §12) ----------------------------------
   // The lockstep gate fires only when EVERY active link has a package
-  // pending, so one silent PLC stalls the whole wire. With these set, a
-  // link that is the only thing blocking the gate while some other link has
-  // accumulated >= T packages — on a time-ordered wire, T ticks' worth of
-  // silence — is taken out of the gate:
+  // pending, so one silent PLC stalls the whole wire. With these set, the
+  // engine's driving thread feeds elapsed real time into advance_clock(),
+  // and the links that keep the gate blocked (silent while others hold
+  // pending work) climb one ladder on that clock. Degradation mode: WHICH
+  // tick a park lands on depends on real time, so verdict determinism
+  // holds per link but the schedule does not replay bit-exactly. 0 = off
+  // (the default keeps every run untouched).
   /// Park: the link leaves the batch but its stream state is snapshotted;
   /// the next frame re-admits it with its history intact (same verdict
-  /// sequence as if the gap never happened). 0 = off.
-  std::size_t park_after = 0;
-  /// Close: the link is retired as if close()d; a later frame opens a
-  /// fresh zero-state stream. 0 = off. When both are set, whichever
-  /// threshold is lower acts first (park wins a tie); with
-  /// park_after < close_after a parked link is retired — its saved state
-  /// dropped — once its total silence reaches close_after ticks.
-  std::size_t close_after = 0;
-  /// Park/rejoin churn damping: a link that rejoined from a park within the
-  /// last `park_hysteresis` ticks needs `park_hysteresis` EXTRA pending
-  /// packages on some other link (queue policy) before it may re-park, and
-  /// is skipped by the wall-clock park sweep (the close escalation still
-  /// applies). 0 = off; never affects links that have not parked yet.
-  std::size_t park_hysteresis = 0;
-
-  // ---- wall-clock straggler sweep (DESIGN.md §12) -------------------------
-  // The tick-count policy above needs wire to flow: a link that is silent
-  // while the OTHERS keep sending shows up as queue depth. A live tap that
-  // goes silent when queues are shallow stalls the gate with no depth
-  // signal at all — these wall-clock thresholds let the engine's driving
-  // thread call wall_clock_sweep() to park/close the blockers by elapsed
-  // real time instead. Degradation mode: WHICH tick a wall-clock park lands
-  // on depends on real time, so verdict determinism holds per link but the
-  // park schedule does not replay bit-exactly. 0 = off (the default keeps
-  // every existing run untouched).
+  /// sequence as if the gap never happened).
   double park_after_ms = 0.0;
+  /// Close: the link is retired as if close()d; a later frame opens a
+  /// fresh zero-state stream. A link blocking the gate this long is
+  /// closed; a parked one once it has been parked for close_after_ms -
+  /// park_after_ms. With close_after_ms <= park_after_ms the ladder closes
+  /// and never parks.
   double close_after_ms = 0.0;
+  /// Park/rejoin churn damping: a link that stalls again less than this
+  /// long after rejoining from a park must stay blocked
+  /// park_after_ms + park_hysteresis_ms before it re-parks (the close
+  /// rung is unaffected). Never affects links that have not parked yet.
+  double park_hysteresis_ms = 0.0;
 
   // ---- adaptation auto-rollback (DESIGN.md §12) ---------------------------
   /// Packages the rollback monitor scores after each weight swap, compared
@@ -148,8 +137,7 @@ struct EngineStats {
   std::uint64_t model_version = 0;  ///< serving weight version (0 = shipped)
   std::uint64_t model_swaps = 0;    ///< adapted-weight hot swaps applied
   std::uint64_t rollbacks = 0;      ///< auto-rollbacks (DESIGN.md §12)
-  std::uint64_t wall_clock_parks = 0;   ///< parks by the wall-clock sweep
-  std::uint64_t wall_clock_closes = 0;  ///< closes by the wall-clock sweep
+  std::uint64_t straggler_closes = 0;  ///< closes by the straggler ladder
   double classify_us = 0.0;        ///< wall time inside classification ticks
   /// Wall time inside adapt boundaries: waiting out an unfinished round
   /// plus adopting its weights (copy + cache re-transpose). NOT part of
@@ -213,10 +201,8 @@ inline constexpr EngineStatField kEngineStatFields[] = {
      &EngineStats::model_swaps},
     {"engine_rollbacks_total", EngineStatField::kCounter,
      &EngineStats::rollbacks},
-    {"engine_wall_clock_parks_total", EngineStatField::kCounter,
-     &EngineStats::wall_clock_parks},
-    {"engine_wall_clock_closes_total", EngineStatField::kCounter,
-     &EngineStats::wall_clock_closes},
+    {"engine_straggler_closes_total", EngineStatField::kCounter,
+     &EngineStats::straggler_closes},
     {"engine_classify_us_total", EngineStatField::kCounter,
      &EngineStats::classify_us},
     {"engine_adapt_us_total", EngineStatField::kCounter,
@@ -261,15 +247,18 @@ class MonitorEngine {
   /// Close every link and drain all pending packages.
   void finish();
 
-  /// Wall-clock straggler sweep (DESIGN.md §12): the engine's driving
-  /// thread reports `elapsed_ms` more milliseconds of real time. When the
-  /// gate has been blocked — some links holding pending packages, others
-  /// silent — past park_after_ms/close_after_ms of accumulated block time,
-  /// the silent links are parked/closed and the tick retried. Parked links
-  /// accumulate the same clock toward the close escalation. No-op unless a
-  /// wall-clock threshold is configured. Returns true if any link was
-  /// parked or closed.
-  bool wall_clock_sweep(double elapsed_ms);
+  /// Straggler clock (DESIGN.md §12): the driving thread reports
+  /// `elapsed_ms` more milliseconds of real time. Parked links age toward
+  /// close_after_ms; while the gate is blocked — some links holding
+  /// pending packages, others silent — the block time accrues and the
+  /// silent links are parked or closed once it reaches their rung, and
+  /// the tick retried. No-op unless a threshold is set. Returns true if
+  /// any link was parked or closed.
+  bool advance_clock(double elapsed_ms);
+  /// How often to call advance_clock, in whole ms: an eighth of the
+  /// smallest set threshold, clamped to [1, 10]. 0 = no straggler policy
+  /// (advance_clock is then a no-op).
+  int sweep_cadence_ms() const { return sweep_cadence_ms_; }
 
   std::size_t active_links() const { return slots_.size(); }
   const EngineStats& stats() const { return stats_; }
@@ -298,9 +287,8 @@ class MonitorEngine {
     std::deque<Pending> queue;
     bool closed = false;
     bool parked = false;  ///< out of the gate, state preserved for rejoin
-    std::uint64_t parked_since = 0;  ///< tick count at park time
-    std::uint64_t rejoined_at = 0;   ///< tick of the last park→rejoin
-    double parked_wall_ms = 0.0;     ///< wall-clock time spent in this park
+    /// Straggler clock at this link's last park, or at its rejoin from one.
+    double park_clock_ms = 0.0;
     LinkStats stats;
     /// Stream state saved across a park (nullopt otherwise).
     std::optional<detect::StreamBatch::StreamSnapshot> parked_state;
@@ -310,20 +298,10 @@ class MonitorEngine {
               std::uint64_t enqueue_ns);
   void join(ics::LinkId id, Link& link);
   void retire_drained();
-  /// Take every link currently blocking the gate out of it (park or close)
-  /// once the straggler thresholds trip. Returns true if anything changed.
-  bool apply_straggler_policy();
   void park(std::size_t slot);
   /// Drop a parked link's saved state and retire it (explicit close(),
   /// the park→close escalation, or finish()).
   void retire_parked(ics::LinkId id, Link& link);
-  /// With both thresholds set (park < close), retire parked links whose
-  /// total silence has reached close_after ticks.
-  void escalate_parked();
-  /// Is this link inside its post-rejoin hysteresis window, i.e. protected
-  /// from re-parking (queue policy: unless the pressure also exceeds the
-  /// raised threshold)?
-  bool in_park_hysteresis(const Link& link) const;
   void maybe_tick();
   /// Adaptation-interval boundary: adopt the outstanding round's weights
   /// (waiting for it if still training) and, unless `request_next` is
@@ -369,7 +347,10 @@ class MonitorEngine {
     bool on() const { return registry != nullptr; }
   } tele_;
 
-  /// Wall-clock milliseconds the gate has been blocked (reset by a tick).
+  // ---- straggler ladder (DESIGN.md §12) ----------------------------------
+  int sweep_cadence_ms_ = 0;  ///< 0 = no straggler threshold set
+  double clock_ms_ = 0.0;     ///< total real time fed to advance_clock
+  /// Clock time the gate has been blocked (reset by a tick).
   double gate_blocked_ms_ = 0.0;
 
   // ---- rollback monitor (DESIGN.md §12) -----------------------------------

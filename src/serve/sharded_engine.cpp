@@ -49,29 +49,26 @@ ShardedEngine::ShardedEngine(const detect::CombinedDetector& detector,
         std::make_unique<SpscQueue<ics::LinkFrame>>(config.queue_capacity);
     shard.engine = std::make_unique<MonitorEngine>(detector, shard_sink,
                                                    config.engine);
-    const bool sweeping = config.engine.park_after_ms > 0.0 ||
-                          config.engine.close_after_ms > 0.0;
-    const int sweep_ms = std::max(1, config.sweep_interval_ms);
     shard.thread = std::thread([q = shard.queue.get(),
-                                engine = shard.engine.get(), sweeping,
-                                sweep_ms] {
+                                engine = shard.engine.get()] {
       ics::LinkFrame lf;
-      if (!sweeping) {
+      const int cadence_ms = engine->sweep_cadence_ms();
+      if (cadence_ms == 0) {
         while (q->pop(lf)) engine->push(lf.link, lf.frame);
       } else {
         // Timed pops so a silent tap can't park the shard thread in a
         // blocking pop forever: every wait — frame or timeout — reports its
-        // real elapsed time to the engine's wall-clock straggler sweep.
+        // real elapsed time to the engine's straggler clock.
         using Clock = std::chrono::steady_clock;
         auto last = Clock::now();
         for (;;) {
-          const auto res = q->pop_for(lf, sweep_ms);
+          const auto res = q->pop_for(lf, cadence_ms);
           if (res == SpscQueue<ics::LinkFrame>::PopResult::kClosed) break;
           if (res == SpscQueue<ics::LinkFrame>::PopResult::kItem) {
             engine->push(lf.link, lf.frame);
           }
           const auto now = Clock::now();
-          engine->wall_clock_sweep(
+          engine->advance_clock(
               std::chrono::duration<double, std::milli>(now - last).count());
           last = now;
         }

@@ -39,15 +39,11 @@ struct ShardedEngineConfig {
   std::size_t shards = 1;
   /// Frames buffered per shard queue before the pump blocks.
   std::size_t queue_capacity = 4096;
-  /// Shard-thread pop timeout while a wall-clock straggler policy
-  /// (engine.park_after_ms / engine.close_after_ms) is configured: each
-  /// timeout (or slow pop) feeds elapsed real time into the engine's
-  /// wall_clock_sweep so a silent tap cannot stall a shard's gate. Ignored
-  /// (plain blocking pops) when neither threshold is set.
-  int sweep_interval_ms = 10;
   /// Per-shard engine configuration. `adapter` requires shards == 1 (see
   /// above); `threads` applies per shard (leave at 1 unless cores >>
-  /// shards).
+  /// shards). With a straggler threshold set, each shard thread pops with
+  /// the engine's sweep_cadence_ms() timeout and feeds the elapsed real
+  /// time to its advance_clock, so a silent tap cannot stall the gate.
   MonitorEngineConfig engine;
 };
 

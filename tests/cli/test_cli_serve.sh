@@ -2,8 +2,11 @@
 # Drives the built `mlad` binary end to end: trains a small model, then
 # checks that
 #   1. the default serve and --shards 4 raise the same alarms,
-#   2. --adapt on the paced-replay front end publishes adapted weights,
-#   3. an out-of-range port and --adapt with several shards are refused.
+#   2. --park-after-ms parks the short capture's link once it goes silent,
+#      without changing a verdict,
+#   3. --adapt on the paced-replay front end publishes adapted weights,
+#   4. bad values and unknown or retired flags are refused, naming the
+#      offending flag or rule.
 #
 # Usage: test_cli_serve.sh <path-to-mlad>
 set -eu
@@ -35,7 +38,18 @@ sort four.jsonl > four.sorted
 cmp -s one.sorted four.sorted ||
   fail "--shards 4 alarms differ from the default serve"
 
-# 2. Online adaptation on a front end other than the capture drain, over
+# 2. b.cap ends long before a.cap, so its silent link blocks the gate while
+#    a.cap's tail queues up: the straggler ladder parks it, and a parked
+#    link keeps bit-identical verdicts.
+"$mlad" serve --captures a.cap,b.cap --model m.model --park-after-ms 1 \
+  --sink park.jsonl > park.log
+parks=$(sed -n 's/.*straggler policy: \([0-9]*\) parks.*/\1/p' park.log)
+[ "${parks:-0}" -ge 1 ] || fail "--park-after-ms 1 never parked"
+sort park.jsonl > park.sorted
+cmp -s one.sorted park.sorted ||
+  fail "--park-after-ms 1 alarms differ from the default serve"
+
+# 3. Online adaptation on a front end other than the capture drain, over
 #    anomaly-free traffic (window 3: this small model alarms on about half
 #    of it, so longer verdict-clean windows are rare).
 "$mlad" simulate --cycles 400 --seed 21 --attacks off --capture c.cap \
@@ -48,15 +62,28 @@ cmp -s one.sorted four.sorted ||
 swaps=$(grep -c '"type": "swap"' adapt.jsonl || true)
 [ "$swaps" -ge 1 ] || fail "serve --adapt --source replay published no weights"
 
-# 3. Refusals. The idle timeout ends a listener that wrongly started.
-if "$mlad" serve --source tcp --listen 70000 --idle-timeout-ms 200 \
-  --model m.model > /dev/null 2>&1; then
-  fail "--listen 70000 was accepted"
-fi
-if "$mlad" serve --captures c.cap,d.cap --model m.model --adapt \
-  --shards 2 > /dev/null 2>&1; then
-  fail "--adapt was accepted with --shards 2"
-fi
+# 4. Refusals: a non-zero exit whose message matches the pattern. The idle
+#    timeout ends a listener that wrongly started.
+refused() {
+  pattern=$1
+  shift
+  if "$mlad" "$@" > /dev/null 2> refusal.txt; then
+    fail "accepted: $*"
+  fi
+  grep -q -e "$pattern" refusal.txt ||
+    fail "refusal of \"$*\" does not say \"$pattern\": $(cat refusal.txt)"
+}
+refused '--listen' serve --source tcp --listen 70000 --idle-timeout-ms 200 \
+  --model m.model
+refused 'shards == 1' serve --captures c.cap,d.cap --model m.model --adapt \
+  --shards 2
+refused '--shards' serve --captures c.cap,d.cap --model m.model --shards -1
+refused '--park-after-ms' serve --captures c.cap,d.cap --model m.model \
+  --park-after-ms -5
+refused 'unknown flag --park-after' serve --captures c.cap,d.cap \
+  --model m.model --park-after 6
+refused 'unknown flag --bogus-flag' serve --captures c.cap,d.cap \
+  --model m.model --bogus-flag 1
 
-echo "cli serve OK: $(wc -l < one.jsonl) alarms at 1 and 4 shards," \
-  "$swaps weight swaps under --adapt --source replay"
+echo "cli serve OK: $(wc -l < one.jsonl) alarms at 1 and 4 shards and" \
+  "under $parks park(s), $swaps weight swaps under --adapt --source replay"

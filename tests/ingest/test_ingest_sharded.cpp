@@ -250,8 +250,7 @@ TEST(AggregateStats, PinsMergeRuleForEveryField) {
   a.model_version = 43;
   a.model_swaps = 47;
   a.rollbacks = 53;
-  a.wall_clock_parks = 59;
-  a.wall_clock_closes = 61;
+  a.straggler_closes = 61;
   a.classify_us = 67.0;
   a.adapt_us = 71.0;
   EngineStats b;
@@ -270,8 +269,7 @@ TEST(AggregateStats, PinsMergeRuleForEveryField) {
   b.model_version = 163;
   b.model_swaps = 167;
   b.rollbacks = 173;
-  b.wall_clock_parks = 179;
-  b.wall_clock_closes = 181;
+  b.straggler_closes = 181;
   b.classify_us = 191.0;
   b.adapt_us = 193.0;
   const EngineStats m = aggregate_stats(std::vector<EngineStats>{a, b});
@@ -292,8 +290,7 @@ TEST(AggregateStats, PinsMergeRuleForEveryField) {
   EXPECT_EQ(m.model_version, 163u);
   EXPECT_EQ(m.model_swaps, 214u);
   EXPECT_EQ(m.rollbacks, 226u);
-  EXPECT_EQ(m.wall_clock_parks, 238u);
-  EXPECT_EQ(m.wall_clock_closes, 242u);
+  EXPECT_EQ(m.straggler_closes, 242u);
   EXPECT_DOUBLE_EQ(m.classify_us, 258.0);
   EXPECT_DOUBLE_EQ(m.adapt_us, 264.0);
   EXPECT_DOUBLE_EQ(m.us_per_package(), 258.0 / 108.0);

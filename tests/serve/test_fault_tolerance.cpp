@@ -1,19 +1,20 @@
-// Fault-tolerant serve (DESIGN.md §12): the wall-clock straggler sweep and
-// its integration with the live TCP front end.
-//  (a) wall_clock_sweep parks a link that blocks the gate past
-//      park_after_ms of real time, then retires it once its park ages past
-//      the close grace — deterministic unit drive, no sockets or threads;
+// Fault-tolerant serve (DESIGN.md §12): the straggler ladder on its real-
+// time clock and its integration with the live TCP front end.
+//  (a) advance_clock parks a link that blocks the gate past park_after_ms,
+//      then retires it once its park ages past the close grace —
+//      deterministic unit drive on a synthetic clock, no sockets or
+//      threads;
 //  (b) the block clock only runs while the gate is actually blocked (idle
 //      wires and flowing gates never accrue);
-//  (c) a wall-clock park is the same park as the queue-depth policy's: the
-//      straggler rejoins with its stream state intact and its verdicts are
-//      bit-identical to an uninterrupted run;
-//  (d) park_hysteresis raises the re-park bar for a freshly rejoined link
-//      (flap damping) without ever blocking parks outright;
+//  (c) a parked straggler rejoins with its stream state intact: its
+//      verdicts are bit-identical to an uninterrupted run, and the gate
+//      never dams up more than park_after_ms of wire behind it;
+//  (d) park_hysteresis_ms raises the re-park bar for a freshly rejoined
+//      link (flap damping) without ever blocking parks outright;
 //  (e) end to end over loopback TCP: three tokened taps, one goes silent
 //      mid-stream — the other two links' verdicts are bit-identical to
 //      their solo runs while the stalled link parks, then closes, on the
-//      wall-clock schedule.
+//      steady_clock schedule.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -103,9 +104,9 @@ std::vector<AlarmKey> solo_run(const ics::Capture& capture) {
   return keys(sink.events());
 }
 
-// ---- wall-clock sweep unit drive -------------------------------------------
+// ---- straggler clock unit drive -------------------------------------------
 
-TEST(WallClockSweep, ParksBlockedStragglerThenEscalatesToClose) {
+TEST(StragglerClock, ParksBlockedStragglerThenEscalatesToClose) {
   const auto& f = fixture();
   CountingAlarmSink sink;
   MonitorEngineConfig cfg;
@@ -121,10 +122,9 @@ TEST(WallClockSweep, ParksBlockedStragglerThenEscalatesToClose) {
   engine.push(0, f.captures[0][2]);  // waits on the now-silent link 1
   ASSERT_EQ(engine.stats().ticks, 2u);
 
-  EXPECT_FALSE(engine.wall_clock_sweep(50.0));   // 50 ms blocked: under
-  EXPECT_FALSE(engine.wall_clock_sweep(49.0));   // 99 ms: still under
-  EXPECT_TRUE(engine.wall_clock_sweep(2.0));     // 101 ms: park fires
-  EXPECT_EQ(engine.stats().wall_clock_parks, 1u);
+  EXPECT_FALSE(engine.advance_clock(50.0));   // 50 ms blocked: under
+  EXPECT_FALSE(engine.advance_clock(49.0));   // 99 ms: still under
+  EXPECT_TRUE(engine.advance_clock(2.0));     // 101 ms: park fires
   EXPECT_EQ(engine.stats().links_parked, 1u);
   // The park unblocked the gate: link 0's backlog ticked through.
   EXPECT_EQ(engine.stats().ticks, 3u);
@@ -132,14 +132,14 @@ TEST(WallClockSweep, ParksBlockedStragglerThenEscalatesToClose) {
 
   // The parked link now ages toward the close escalation on the same
   // clock — even though the gate itself is no longer blocked.
-  EXPECT_FALSE(engine.wall_clock_sweep(199.0));  // 199 < 200 ms grace
-  EXPECT_TRUE(engine.wall_clock_sweep(2.0));     // 201 ms: retired
-  EXPECT_EQ(engine.stats().wall_clock_closes, 1u);
+  EXPECT_FALSE(engine.advance_clock(199.0));  // 199 < 200 ms grace
+  EXPECT_TRUE(engine.advance_clock(2.0));     // 201 ms: retired
+  EXPECT_EQ(engine.stats().straggler_closes, 1u);
   EXPECT_EQ(engine.stats().links_retired, 1u);
   engine.finish();
 }
 
-TEST(WallClockSweep, AccruesOnlyWhileTheGateIsBlocked) {
+TEST(StragglerClock, AccruesOnlyWhileTheGateIsBlocked) {
   const auto& f = fixture();
   CountingAlarmSink sink;
   MonitorEngineConfig cfg;
@@ -147,29 +147,29 @@ TEST(WallClockSweep, AccruesOnlyWhileTheGateIsBlocked) {
   MonitorEngine engine(*f.framework.detector, &sink, cfg);
 
   // No links at all: real time passes, nothing accrues.
-  EXPECT_FALSE(engine.wall_clock_sweep(1000.0));
-  EXPECT_EQ(engine.stats().wall_clock_parks, 0u);
+  EXPECT_FALSE(engine.advance_clock(1000.0));
+  EXPECT_EQ(engine.stats().links_parked, 0u);
 
   // Two links, both drained (no pending anywhere): idle is not a stall.
   engine.push(0, f.captures[0][0]);  // tick 1: link 0 alone
   engine.push(1, f.captures[1][0]);  // link 1 joins; waits on link 0
   engine.push(0, f.captures[0][1]);  // tick 2: both drain
   ASSERT_EQ(engine.stats().ticks, 2u);
-  EXPECT_FALSE(engine.wall_clock_sweep(1000.0));
-  EXPECT_EQ(engine.stats().wall_clock_parks, 0u);
+  EXPECT_FALSE(engine.advance_clock(1000.0));
+  EXPECT_EQ(engine.stats().links_parked, 0u);
 
   // Blocked for 60 ms, then the straggler speaks (gate ticks, clock
   // resets), then blocked for another 60 ms: never reaches 100 ms.
   engine.push(0, f.captures[0][2]);
-  EXPECT_FALSE(engine.wall_clock_sweep(60.0));
+  EXPECT_FALSE(engine.advance_clock(60.0));
   engine.push(1, f.captures[1][1]);  // gate fires, stall clock restarts
   engine.push(0, f.captures[0][3]);
-  EXPECT_FALSE(engine.wall_clock_sweep(60.0));
-  EXPECT_EQ(engine.stats().wall_clock_parks, 0u);
+  EXPECT_FALSE(engine.advance_clock(60.0));
+  EXPECT_EQ(engine.stats().links_parked, 0u);
   engine.finish();
 }
 
-TEST(WallClockSweep, ParkedStragglerRejoinsWithVerdictsIntact) {
+TEST(StragglerClock, ParkedStragglerRejoinsWithVerdictsIntact) {
   const auto& f = fixture();
   const ics::Capture& a = f.captures[0];
   const ics::Capture& b = f.captures[1];
@@ -181,9 +181,14 @@ TEST(WallClockSweep, ParkedStragglerRejoinsWithVerdictsIntact) {
     return keys(sink.events());
   }();
 
+  // Link 1 goes silent for the middle third of the wire. Without a
+  // straggler policy the lockstep gate would buffer link 0's packages for
+  // the whole gap; with park_after_ms the gate parks link 1, keeps ticking
+  // link 0, and re-admits link 1 with its stream state intact.
   CountingAlarmSink sink;
   MonitorEngineConfig cfg;
-  cfg.park_after_ms = 100.0;
+  cfg.park_after_ms = 60.0;
+  constexpr double kStepMs = 10.0;  // clock time per wire step
   MonitorEngine engine(*f.framework.detector, &sink, cfg);
 
   const std::size_t n = std::min(a.size(), b.size());
@@ -192,18 +197,20 @@ TEST(WallClockSweep, ParkedStragglerRejoinsWithVerdictsIntact) {
     engine.push(0, a[i]);
     const bool b_silent = i >= n / 3 && i < 2 * n / 3;
     if (!b_silent && bi < b.size()) engine.push(1, b[bi++]);
-    if (b_silent) engine.wall_clock_sweep(60.0);  // parks b mid-gap
+    engine.advance_clock(kStepMs);
   }
-  EXPECT_EQ(engine.stats().wall_clock_parks, 1u);
+  // The gap must not have dammed up link 0 behind the gate.
+  EXPECT_LE(engine.stats().peak_pending, cfg.park_after_ms / kStepMs + 1);
+  EXPECT_EQ(engine.stats().links_parked, 1u);
   while (bi < b.size()) engine.push(1, b[bi++]);
   for (std::size_t i = n; i < a.size(); ++i) engine.push(0, a[i]);
   engine.finish();
 
   EXPECT_EQ(engine.stats().links_seen, 2u)
-      << "a wall-clock-parked link must resume, not rejoin as a new stream";
+      << "a parked link must resume, not rejoin as a new stream";
   EXPECT_EQ(engine.stats().packages, a.size() + b.size());
   EXPECT_EQ(keys(sink.events(), 1u), isolated_b)
-      << "wall-clock parking changed the parked link's verdicts";
+      << "parking changed the parked link's verdicts";
 }
 
 TEST(ParkHysteresis, RaisesTheReParkBarAfterARejoin) {
@@ -212,9 +219,13 @@ TEST(ParkHysteresis, RaisesTheReParkBarAfterARejoin) {
   const ics::Capture& b = f.captures[1];
   CountingAlarmSink sink;
   MonitorEngineConfig cfg;
-  cfg.park_after = 6;
-  cfg.park_hysteresis = 4;
+  cfg.park_after_ms = 60.0;
+  cfg.park_hysteresis_ms = 40.0;
+  constexpr double kStepMs = 10.0;  // clock time per push of link 0
   MonitorEngine engine(*f.framework.detector, &sink, cfg);
+  const auto steps = [&](double ms) {
+    return static_cast<std::size_t>(ms / kStepMs);
+  };
 
   // First stall: parks at the plain threshold (hysteresis never affects a
   // link that has not parked before). b[0] ticks through alone; every a
@@ -222,20 +233,23 @@ TEST(ParkHysteresis, RaisesTheReParkBarAfterARejoin) {
   engine.push(1, b[0]);  // tick 1: link 1 is the whole gate
   std::size_t ai = 0;
   while (engine.stats().links_parked == 0) {
-    ASSERT_LT(ai, cfg.park_after + 1) << "first park missed its threshold";
+    ASSERT_LT(ai, steps(cfg.park_after_ms) + 1)
+        << "first park missed its threshold";
     engine.push(0, a[ai++]);
+    engine.advance_clock(kStepMs);
   }
-  EXPECT_EQ(ai, cfg.park_after);
+  EXPECT_EQ(ai, steps(cfg.park_after_ms));
 
   // Rejoin, then stall again immediately: within the hysteresis window the
-  // bar is park_after + park_hysteresis pending — not park_after.
+  // bar is park_after_ms + park_hysteresis_ms blocked — not park_after_ms.
   engine.push(1, b[1]);     // re-admits b with its rejoin frame queued
   engine.push(0, a[ai++]);  // pairs with it; the gate ticks both through
-  const std::size_t bar = cfg.park_after + cfg.park_hysteresis;
+  const std::size_t bar = steps(cfg.park_after_ms + cfg.park_hysteresis_ms);
   for (std::size_t pending = 1; pending <= bar; ++pending) {
     engine.push(0, a[ai++]);
+    engine.advance_clock(kStepMs);
     EXPECT_EQ(engine.stats().links_parked, pending < bar ? 1u : 2u)
-        << "re-park at pending " << pending << " inside hysteresis";
+        << "re-park at " << pending * kStepMs << " ms inside hysteresis";
   }
   EXPECT_EQ(engine.stats().links_parked, 2u);
   engine.finish();
@@ -275,7 +289,6 @@ TEST(FaultTolerance, StalledTapParksThenClosesWhileOthersStayBitIdentical) {
   CountingAlarmSink sink;
   ShardedEngineConfig cfg;
   cfg.shards = 1;
-  cfg.sweep_interval_ms = 5;
   cfg.engine.park_after_ms = 150.0;
   cfg.engine.close_after_ms = 400.0;
   ShardedEngine engine(*f.framework.detector, &sink, cfg);
@@ -295,7 +308,7 @@ TEST(FaultTolerance, StalledTapParksThenClosesWhileOthersStayBitIdentical) {
       }
       if (stalls) {
         // Silent but connected: the engine must park, then close, this
-        // link on the wall clock — long before the tap finally gives up.
+        // link on the straggler clock — long before the tap finally gives up.
         std::this_thread::sleep_for(std::chrono::milliseconds(1200));
       }
       ::close(fd);
@@ -306,8 +319,8 @@ TEST(FaultTolerance, StalledTapParksThenClosesWhileOthersStayBitIdentical) {
   for (auto& t : taps) t.join();
 
   const EngineStats s = engine.stats();
-  EXPECT_GE(s.wall_clock_parks, 1u) << "the stalled link never parked";
-  EXPECT_GE(s.wall_clock_closes, 1u)
+  EXPECT_GE(s.links_parked, 1u) << "the stalled link never parked";
+  EXPECT_GE(s.straggler_closes, 1u)
       << "the parked link never closed on schedule";
   EXPECT_EQ(s.packages,
             f.captures[0].size() + f.captures[1].size() + kStallAfter);

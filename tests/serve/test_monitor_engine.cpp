@@ -288,68 +288,29 @@ TEST(MonitorEngine, CloseThenRejoinStartsAFreshStream) {
   engine.finish();
 }
 
-TEST(MonitorEngine, ParkAfterKeepsTheWireFlowingAndTheStateIntact) {
-  const auto& f = fixture();
-  const detect::CombinedDetector& det = *f.framework.detector;
-  const ics::Capture& a = f.captures[0];
-  const ics::Capture& b = f.captures[1];
-
-  // Link 1 goes silent for the middle third of the wire. Without a
-  // straggler policy the lockstep gate would buffer link 0's packages for
-  // the whole gap; with --park-after the gate parks link 1, keeps ticking
-  // link 0, and re-admits link 1 with its stream state intact.
-  const auto isolated_b = [&] {
-    CountingAlarmSink sink;
-    MonitorEngine engine(det, &sink);
-    for (const ics::RawFrame& frame : b) engine.push(1, frame);
-    engine.finish();
-    return keys(sink.events());
-  }();
-
-  CountingAlarmSink sink;
-  MonitorEngineConfig cfg;
-  cfg.park_after = 6;
-  MonitorEngine engine(det, &sink, cfg);
-  const std::size_t n = std::min(a.size(), b.size());
-  std::size_t bi = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    engine.push(0, a[i]);
-    const bool b_silent = i >= n / 3 && i < 2 * n / 3;
-    if (!b_silent && bi < b.size()) engine.push(1, b[bi++]);
-  }
-  // The gap must not have dammed up link 0 behind the gate.
-  EXPECT_LE(engine.stats().peak_pending, cfg.park_after + 1);
-  EXPECT_GE(engine.stats().links_parked, 1u);
-  while (bi < b.size()) engine.push(1, b[bi++]);
-  for (std::size_t i = n; i < a.size(); ++i) engine.push(0, a[i]);
-  engine.finish();
-
-  EXPECT_EQ(engine.stats().links_seen, 2u)
-      << "a parked link must resume, not rejoin as a new stream";
-  EXPECT_EQ(engine.stats().packages, a.size() + b.size());
-  EXPECT_EQ(keys(sink.events(), 1u), isolated_b)
-      << "parking changed the parked link's verdicts";
-}
-
 TEST(MonitorEngine, ParkEscalatesToCloseAndExplicitCloseRetiresParked) {
   const auto& f = fixture();
   const detect::CombinedDetector& det = *f.framework.detector;
   const ics::Capture& a = f.captures[0];
   const ics::Capture& b = f.captures[1];
 
-  // park_after < close_after: a permanently dead link is first parked
-  // (state kept for a possible rejoin), then RETIRED once its total
-  // silence reaches close_after ticks — it must not hold its snapshot
-  // forever.
+  // park_after_ms < close_after_ms: a permanently dead link is first
+  // parked (state kept for a possible rejoin), then RETIRED once its total
+  // silence reaches close_after_ms — it must not hold its snapshot
+  // forever. Each push of link 0 is followed by 10 ms on the clock.
+  constexpr double kStepMs = 10.0;
   {
     MonitorEngineConfig cfg;
-    cfg.park_after = 4;
-    cfg.close_after = 20;
+    cfg.park_after_ms = 40.0;
+    cfg.close_after_ms = 200.0;
     MonitorEngine engine(det, nullptr, cfg);
     for (std::size_t i = 0; i < 16 && i < b.size(); ++i) {
       engine.push(1, b[i]);
     }
-    for (std::size_t i = 0; i < 200; ++i) engine.push(0, a[i]);  // b silent
+    for (std::size_t i = 0; i < 200; ++i) {  // b silent
+      engine.push(0, a[i]);
+      engine.advance_clock(kStepMs);
+    }
     EXPECT_EQ(engine.stats().links_parked, 1u);
     EXPECT_EQ(engine.stats().links_retired, 1u)
         << "parked link was not escalated to close";
@@ -362,12 +323,15 @@ TEST(MonitorEngine, ParkEscalatesToCloseAndExplicitCloseRetiresParked) {
   // An explicit close() of a parked link retires it immediately.
   {
     MonitorEngineConfig cfg;
-    cfg.park_after = 4;
+    cfg.park_after_ms = 40.0;
     MonitorEngine engine(det, nullptr, cfg);
     for (std::size_t i = 0; i < 16 && i < b.size(); ++i) {
       engine.push(1, b[i]);
     }
-    for (std::size_t i = 0; i < 40; ++i) engine.push(0, a[i]);  // parks b
+    for (std::size_t i = 0; i < 40; ++i) {  // parks b
+      engine.push(0, a[i]);
+      engine.advance_clock(kStepMs);
+    }
     EXPECT_EQ(engine.stats().links_parked, 1u);
     EXPECT_EQ(engine.stats().links_retired, 0u);
     engine.close(1);
@@ -398,7 +362,8 @@ TEST(MonitorEngine, CloseAfterRetiresAStalledLinkToAFreshStream) {
 
   CountingAlarmSink sink;
   MonitorEngineConfig cfg;
-  cfg.close_after = 5;
+  cfg.close_after_ms = 50.0;
+  constexpr double kStepMs = 10.0;  // clock time per wire step
   MonitorEngine engine(det, &sink, cfg);
   std::size_t bi = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -407,11 +372,12 @@ TEST(MonitorEngine, CloseAfterRetiresAStalledLinkToAFreshStream) {
     // the rest.
     const bool b_active = i < half || i >= a.size() - (b.size() - half);
     if (b_active && bi < b.size()) engine.push(1, b[bi++]);
+    engine.advance_clock(kStepMs);
   }
   while (bi < b.size()) engine.push(1, b[bi++]);
   engine.finish();
 
-  EXPECT_LE(engine.stats().peak_pending, cfg.close_after + 1);
+  EXPECT_LE(engine.stats().peak_pending, cfg.close_after_ms / kStepMs + 1);
   EXPECT_EQ(engine.stats().links_parked, 0u);
   EXPECT_EQ(engine.stats().links_seen, 3u)
       << "the closed link must have rejoined as a fresh stream";

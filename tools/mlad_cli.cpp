@@ -18,8 +18,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -68,8 +70,36 @@ using namespace mlad;
 /// a hard error, not a silent "on".
 constexpr const char* kBareSwitches[] = {"adapt", "no-fin", "ascii"};
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int start) {
+/// Every flag each subcommand reads. parse_flags refuses any other, so a
+/// misspelt or retired flag fails the run instead of being ignored.
+constexpr std::string_view kSimulateFlags[] = {"cycles", "seed", "attacks",
+                                               "arff", "capture"};
+constexpr std::string_view kTrainFlags[] = {
+    "arff",    "captures",   "model", "epochs", "hidden", "seed", "batch",
+    "threads", "adam-state", "resume"};
+constexpr std::string_view kEvaluateFlags[] = {"arff", "model", "threads",
+                                               "streams"};
+constexpr std::string_view kMonitorFlags[] = {"capture", "model",
+                                              "max-alarms"};
+constexpr std::string_view kServeFlags[] = {
+    "captures", "model", "threads", "shards", "queue-cap", "sink",
+    "max-alarms", "sigdb", "source", "speed", "listen", "bind", "max-conns",
+    "idle-timeout-ms", "fault-spec", "park-after-ms", "close-after-ms",
+    "park-hysteresis-ms", "adapt", "adapt-interval", "replay-cap",
+    "adapt-threads", "adapt-window", "adapt-epochs", "adapt-min-windows",
+    "adapt-max-steps", "adapt-seed", "adam-state", "adapt-history",
+    "adapt-poison-round", "adapt-poison-scale", "rollback-window",
+    "rollback-ratio", "metrics-port", "stats-out", "stats-interval"};
+constexpr std::string_view kTapFlags[] = {
+    "captures", "port",  "host",   "token",  "fault-spec",
+    "resend",   "limit", "no-fin", "pace-us"};
+constexpr std::string_view kSigdbBuildFlags[] = {"model", "out", "shard-bits",
+                                                 "prefilter-fpr"};
+constexpr std::string_view kSigdbCheckFlags[] = {"file"};
+constexpr std::string_view kStatsFlags[] = {"ascii"};
+
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, int start, std::span<const std::string_view> known) {
   const auto is_bare = [](const char* key) {
     for (const char* s : kBareSwitches) {
       if (std::strcmp(key, s) == 0) return true;
@@ -82,6 +112,9 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
       throw std::runtime_error(std::string("expected --flag, got ") + argv[i]);
     }
     const char* key = argv[i] + 2;
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::runtime_error(std::string("unknown flag --") + key);
+    }
     const bool has_value =
         i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
     if (has_value) {
@@ -131,6 +164,27 @@ T checked_uint(const std::string& key, const std::string& text) {
                              "\"");
   }
   return static_cast<T>(v);
+}
+
+/// A millisecond threshold: a finite number >= 0 (0 = off). std::stod
+/// alone takes "-5", "inf" and "nan", and a negative threshold would
+/// silently mean "off".
+double checked_ms(const std::map<std::string, std::string>& flags,
+                  const std::string& key) {
+  const std::string text = get_or(flags, key, "0");
+  std::size_t used = 0;
+  double v = -1.0;
+  try {
+    v = std::stod(text, &used);
+  } catch (const std::logic_error&) {
+    // Not a number: `used` stays 0.
+  }
+  if (used == 0 || used != text.size() || !std::isfinite(v) || v < 0.0) {
+    throw std::runtime_error("--" + key +
+                             " must be a finite number of ms >= 0, got \"" +
+                             text + "\"");
+  }
+  return v;
 }
 
 /// Startup banner for the compute-heavy subcommands: which SIMD kernel
@@ -463,21 +517,17 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   const auto detector = detect::load_framework_file(need(flags, "model"));
 
   serve::ShardedEngineConfig cfg;
-  cfg.shards = std::stoul(get_or(flags, "shards", "1"));
-  cfg.queue_capacity = std::stoul(get_or(flags, "queue-cap", "4096"));
-  cfg.engine.threads = std::stoul(get_or(flags, "threads", "1"));
-  // Straggler policy: take a silent link out of the lockstep gate once some
-  // other link has T packages queued behind it (DESIGN.md §9).
-  cfg.engine.park_after = std::stoul(get_or(flags, "park-after", "0"));
-  cfg.engine.close_after = std::stoul(get_or(flags, "close-after", "0"));
-  cfg.engine.park_hysteresis =
-      std::stoul(get_or(flags, "park-hysteresis", "0"));
-  // Wall-clock straggler sweep (DESIGN.md §12): takes a live tap that goes
-  // silent out of the gate by elapsed real time, not queue depth.
-  cfg.engine.park_after_ms = std::stod(get_or(flags, "park-after-ms", "0"));
-  cfg.engine.close_after_ms = std::stod(get_or(flags, "close-after-ms", "0"));
-  cfg.sweep_interval_ms = checked_uint<int>(
-      "sweep-interval-ms", get_or(flags, "sweep-interval-ms", "10"));
+  cfg.shards =
+      checked_uint<std::size_t>("shards", get_or(flags, "shards", "1"));
+  cfg.queue_capacity = checked_uint<std::size_t>(
+      "queue-cap", get_or(flags, "queue-cap", "4096"));
+  cfg.engine.threads =
+      checked_uint<std::size_t>("threads", get_or(flags, "threads", "1"));
+  // Straggler ladder (DESIGN.md §12): park, then close, a link that blocks
+  // the lockstep gate for that many real milliseconds.
+  cfg.engine.park_after_ms = checked_ms(flags, "park-after-ms");
+  cfg.engine.close_after_ms = checked_ms(flags, "close-after-ms");
+  cfg.engine.park_hysteresis_ms = checked_ms(flags, "park-hysteresis-ms");
 
   // Front end: an in-memory capture drain, a paced pcap-style replay, or a
   // live UDP/TCP socket listener receiving MLF1 records.
@@ -598,13 +648,10 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
       static_cast<std::size_t>(in.producer_blocks),
       static_cast<std::size_t>(in.peak_queue_depth), cfg.queue_capacity);
   print_source_health(in.source_health);
-  if (s.links_parked + s.wall_clock_parks + s.wall_clock_closes > 0) {
-    std::printf(
-        "straggler policy: %zu parks (%zu wall-clock), %zu wall-clock "
-        "closes\n",
-        static_cast<std::size_t>(s.links_parked),
-        static_cast<std::size_t>(s.wall_clock_parks),
-        static_cast<std::size_t>(s.wall_clock_closes));
+  if (s.links_parked + s.straggler_closes > 0) {
+    std::printf("straggler policy: %zu parks, %zu closes\n",
+                static_cast<std::size_t>(s.links_parked),
+                static_cast<std::size_t>(s.straggler_closes));
   }
   if (engine.shards() > 1) {
     const std::vector<serve::EngineStats> per_shard = engine.shard_stats();
@@ -907,9 +954,6 @@ int usage() {
       "           (each capture replays as one PLC link; one batched LSTM\n"
       "           step per tick advances every link — per-link verdicts\n"
       "           are bit-identical to monitoring that link alone)\n"
-      "           [--park-after T] [--close-after T]   straggler policy:\n"
-      "           park (state kept across rejoin) or close a link that\n"
-      "           stalls the gate for T ticks' worth of wire\n"
       "           [--shards N] [--queue-cap Q]   links hash onto N engine\n"
       "           shards (default 1), each fed by a bounded SPSC queue\n"
       "           (Q frames; a full queue back-pressures the pump);\n"
@@ -933,12 +977,12 @@ int usage() {
       "           the source (keys: seed, drop, truncate, corrupt, stall,\n"
       "           stall_ms, disconnect_every); delivered well-formed\n"
       "           packages keep bit-identical verdicts\n"
-      "           [--park-after-ms T] [--close-after-ms T]   wall-clock\n"
-      "           straggler policy for live taps: a silent\n"
-      "           link blocking the gate for T real ms is parked / closed\n"
-      "           [--sweep-interval-ms T] [--park-hysteresis H]   sweep\n"
-      "           granularity; a recently-rejoined link needs H extra ticks\n"
-      "           of pressure before it re-parks\n"
+      "           [--park-after-ms T] [--close-after-ms C]\n"
+      "           [--park-hysteresis-ms H]   straggler ladder: a silent link\n"
+      "           blocking the gate for T real ms is parked (state kept\n"
+      "           across rejoin), after C ms closed (fresh stream on\n"
+      "           rejoin); a link that stalls again within H ms of a\n"
+      "           rejoin needs T + H ms to re-park\n"
       "           [--adapt] [--adapt-interval N] [--replay-cap M]\n"
       "           [--adapt-threads K] [--adapt-window L] [--adapt-epochs E]\n"
       "           [--adapt-min-windows W] [--adapt-max-steps S]\n"
@@ -979,7 +1023,7 @@ int usage() {
       "           (default --resend 8) to exercise duplicate discard.\n"
       "           --limit N sends only the first N records, --no-fin\n"
       "           leaves the stream open-ended (a straggler for the\n"
-      "           listener's wall-clock park policy), --pace-us U sleeps\n"
+      "           listener's straggler ladder), --pace-us U sleeps\n"
       "           U microseconds between records\n");
   return 2;
 }
@@ -989,29 +1033,30 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const auto flags = [&](std::span<const std::string_view> known,
+                         int start = 2) {
+    return parse_flags(argc, argv, start, known);
+  };
   try {
     if (cmd == "sigdb") {
       if (argc < 3) return usage();
       const std::string sub = argv[2];
-      const auto flags = parse_flags(argc, argv, 3);
-      if (sub == "build") return cmd_sigdb_build(flags);
-      if (sub == "check") return cmd_sigdb_check(flags);
+      if (sub == "build") return cmd_sigdb_build(flags(kSigdbBuildFlags, 3));
+      if (sub == "check") return cmd_sigdb_check(flags(kSigdbCheckFlags, 3));
       return usage();
     }
     if (cmd == "stats") {
       if (argc < 3 || std::string_view(argv[2]).starts_with("--")) {
         return usage();
       }
-      const auto flags = parse_flags(argc, argv, 3);
-      return cmd_stats(argv[2], flags);
+      return cmd_stats(argv[2], flags(kStatsFlags, 3));
     }
-    const auto flags = parse_flags(argc, argv, 2);
-    if (cmd == "simulate") return cmd_simulate(flags);
-    if (cmd == "train") return cmd_train(flags);
-    if (cmd == "evaluate") return cmd_evaluate(flags);
-    if (cmd == "monitor") return cmd_monitor(flags);
-    if (cmd == "serve") return cmd_serve(flags);
-    if (cmd == "tap") return cmd_tap(flags);
+    if (cmd == "simulate") return cmd_simulate(flags(kSimulateFlags));
+    if (cmd == "train") return cmd_train(flags(kTrainFlags));
+    if (cmd == "evaluate") return cmd_evaluate(flags(kEvaluateFlags));
+    if (cmd == "monitor") return cmd_monitor(flags(kMonitorFlags));
+    if (cmd == "serve") return cmd_serve(flags(kServeFlags));
+    if (cmd == "tap") return cmd_tap(flags(kTapFlags));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mlad %s: %s\n", cmd.c_str(), e.what());
     return 1;
