@@ -1,377 +1,54 @@
-// AVX2+FMA kernel backend (DESIGN.md §7): 8-wide register-blocked
-// micro-kernels for the matmul inner loops and fused LSTM gate kernels with
-// a vectorized exponential. This TU is the only one compiled with
+// AVX2+FMA kernel backend (DESIGN.md §7): the 8-lane ops struct that
+// instantiates the shared SIMD kernel body (kernels_simd.hpp), plus this
+// width's own gathered sigdb walk. This TU is the only one compiled with
 // -mavx2 -mfma (per-file CMake flags), so the enclosing binary stays
 // baseline-safe: nothing here runs unless the cpuid dispatcher picked it.
-//
-// Rounding: the j (column) dimension is vectorized, so per output element
-// the k-summation ORDER is identical to the scalar backend — only FMA
-// contraction and the polynomial exp change the last bits. Row partitioning
-// across pool workers therefore stays bit-identical within this backend.
 #include "nn/kernel_backend.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 
-#include "nn/kernels_scalar_tail.hpp"
-#include "nn/sigdb_lookup_common.hpp"
+#include "nn/kernels_simd.hpp"
 
 namespace mlad::nn {
 namespace {
 
-// ---- vector transcendentals ------------------------------------------------
-
-/// Cephes-style polynomial exp, elementwise over 8 lanes (~1 ulp). Input is
-/// clamped to the finite-float exponent range.
-inline __m256 exp8(__m256 x) {
-  const __m256 hi = _mm256_set1_ps(88.3762626647949f);
-  const __m256 lo = _mm256_set1_ps(-88.3762626647949f);
-  const __m256 log2e = _mm256_set1_ps(1.44269504088896341f);
-  const __m256 ln2_hi = _mm256_set1_ps(0.693359375f);
-  const __m256 ln2_lo = _mm256_set1_ps(-2.12194440e-4f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-
-  x = _mm256_max_ps(_mm256_min_ps(x, hi), lo);
-
-  // n = floor(x/ln2 + 0.5); reduce x to r = x - n*ln2 (split constant).
-  __m256 n = _mm256_floor_ps(
-      _mm256_fmadd_ps(x, log2e, _mm256_set1_ps(0.5f)));
-  x = _mm256_fnmadd_ps(n, ln2_hi, x);
-  x = _mm256_fnmadd_ps(n, ln2_lo, x);
-
-  // exp(r) ≈ 1 + r + r²·P(r).
-  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.3981999507e-3f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(8.3334519073e-3f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(4.1665795894e-2f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.6666665459e-1f));
-  y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(5.0000001201e-1f));
-  y = _mm256_fmadd_ps(y, _mm256_mul_ps(x, x), _mm256_add_ps(x, one));
-
-  // Scale by 2^n through the exponent bits.
-  __m256i pow2n = _mm256_slli_epi32(
-      _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(0x7f)), 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(pow2n));
-}
-
-/// σ(x) = (x ≥ 0 ? 1 : e) / (1 + e) with e = exp(-|x|) — the same
-/// overflow-free form as the scalar k_sigmoid.
-inline __m256 sigmoid8(__m256 x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  const __m256 absx = _mm256_andnot_ps(sign_mask, x);
-  const __m256 e = exp8(_mm256_sub_ps(_mm256_setzero_ps(), absx));
-  const __m256 nonneg = _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GE_OQ);
-  const __m256 num = _mm256_blendv_ps(e, one, nonneg);
-  return _mm256_div_ps(num, _mm256_add_ps(one, e));
-}
-
-/// tanh(x) = sign(x)·(1 − e₂)/(1 + e₂) with e₂ = exp(−2|x|); never
-/// overflows and is exact at ±∞-saturation.
-inline __m256 tanh8(__m256 x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  const __m256 sign = _mm256_and_ps(sign_mask, x);
-  const __m256 absx = _mm256_andnot_ps(sign_mask, x);
-  const __m256 e2 = exp8(_mm256_mul_ps(absx, _mm256_set1_ps(-2.0f)));
-  const __m256 t =
-      _mm256_div_ps(_mm256_sub_ps(one, e2), _mm256_add_ps(one, e2));
-  return _mm256_or_ps(t, sign);
-}
-
-// ---- matmul micro-kernels --------------------------------------------------
-
-// Per-element accumulation discipline of this backend: ascending k, a FUSED
-// multiply-add at EVERY k (_mm256_fmadd_ps in the vector lanes, std::fmaf
-// in scalar tails) — no zero-skipping, unlike the scalar backend. Skips
-// would have to fire identically in the micro-block and leftover-row paths
-// to keep bit-identical thread invariance (fma(0, b, acc) is NOT a bitwise
-// no-op when acc is -0.0 or b is non-finite), and per-row predication in
-// the micro-kernel costs more on dense operands than the skip saves on the
-// small one-hot layer-0 products. With every k executed, an output
-// element's bit pattern is independent of which loop shape a partition
-// routed it through, so the §5 contract holds within this backend.
-
-inline void fma1_row(const float* b_row, float aik, float* out_row,
-                     std::size_t N) {
-  const __m256 va = _mm256_set1_ps(aik);
-  std::size_t j = 0;
-  for (; j + 8 <= N; j += 8) {
-    _mm256_storeu_ps(out_row + j,
-                     _mm256_fmadd_ps(va, _mm256_loadu_ps(b_row + j),
-                                     _mm256_loadu_ps(out_row + j)));
+/// 8-lane AVX2+FMA vector ops for the shared kernel body (kernels_simd.hpp).
+struct Avx2 {
+  using reg = __m256;
+  static constexpr std::size_t W = 8;
+  static reg load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, reg v) { _mm256_storeu_ps(p, v); }
+  static reg set1(float x) { return _mm256_set1_ps(x); }
+  static reg zero() { return _mm256_setzero_ps(); }
+  static reg add(reg a, reg b) { return _mm256_add_ps(a, b); }
+  static reg sub(reg a, reg b) { return _mm256_sub_ps(a, b); }
+  static reg mul(reg a, reg b) { return _mm256_mul_ps(a, b); }
+  static reg div(reg a, reg b) { return _mm256_div_ps(a, b); }
+  static reg fma(reg a, reg b, reg c) { return _mm256_fmadd_ps(a, b, c); }
+  static reg fnmadd(reg a, reg b, reg c) { return _mm256_fnmadd_ps(a, b, c); }
+  static reg min(reg a, reg b) { return _mm256_min_ps(a, b); }
+  static reg max(reg a, reg b) { return _mm256_max_ps(a, b); }
+  static reg floor(reg x) { return _mm256_floor_ps(x); }
+  static reg abs(reg x) { return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x); }
+  static reg copysign(reg m, reg x) {
+    return _mm256_or_ps(m, _mm256_and_ps(_mm256_set1_ps(-0.0f), x));
   }
-  for (; j < N; ++j) out_row[j] = std::fmaf(aik, b_row[j], out_row[j]);
-}
-
-/// Register-blocked micro-kernel: 4 output rows × a 16-column tile, 8 ymm
-/// accumulators held across the whole K loop, so every loaded b row chunk is
-/// reused 4× (quarter the b traffic of the row-at-a-time kernel — the
-/// bandwidth this product is otherwise bound on). `a_at(k, r)` must return
-/// a(row r, k); row grouping never changes any element's k-summation order,
-/// so determinism is untouched.
-template <typename AccessA>
-inline void micro4x16(const AccessA& a_at, const float* b, float* r0,
-                      float* r1, float* r2, float* r3, std::size_t K,
-                      std::size_t N) {
-  std::size_t j = 0;
-  for (; j + 16 <= N; j += 16) {
-    __m256 acc00 = _mm256_loadu_ps(r0 + j);
-    __m256 acc01 = _mm256_loadu_ps(r0 + j + 8);
-    __m256 acc10 = _mm256_loadu_ps(r1 + j);
-    __m256 acc11 = _mm256_loadu_ps(r1 + j + 8);
-    __m256 acc20 = _mm256_loadu_ps(r2 + j);
-    __m256 acc21 = _mm256_loadu_ps(r2 + j + 8);
-    __m256 acc30 = _mm256_loadu_ps(r3 + j);
-    __m256 acc31 = _mm256_loadu_ps(r3 + j + 8);
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m256 vb0 = _mm256_loadu_ps(b + k * N + j);
-      const __m256 vb1 = _mm256_loadu_ps(b + k * N + j + 8);
-      acc00 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 0)), vb0, acc00);
-      acc01 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 0)), vb1, acc01);
-      acc10 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 1)), vb0, acc10);
-      acc11 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 1)), vb1, acc11);
-      acc20 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 2)), vb0, acc20);
-      acc21 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 2)), vb1, acc21);
-      acc30 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 3)), vb0, acc30);
-      acc31 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 3)), vb1, acc31);
-    }
-    _mm256_storeu_ps(r0 + j, acc00);
-    _mm256_storeu_ps(r0 + j + 8, acc01);
-    _mm256_storeu_ps(r1 + j, acc10);
-    _mm256_storeu_ps(r1 + j + 8, acc11);
-    _mm256_storeu_ps(r2 + j, acc20);
-    _mm256_storeu_ps(r2 + j + 8, acc21);
-    _mm256_storeu_ps(r3 + j, acc30);
-    _mm256_storeu_ps(r3 + j + 8, acc31);
+  static reg select_nonneg(reg x, reg t, reg f) {
+    const __m256 nonneg = _mm256_cmp_ps(x, zero(), _CMP_GE_OQ);
+    return _mm256_blendv_ps(f, t, nonneg);
   }
-  for (; j + 8 <= N; j += 8) {
-    __m256 acc0 = _mm256_loadu_ps(r0 + j);
-    __m256 acc1 = _mm256_loadu_ps(r1 + j);
-    __m256 acc2 = _mm256_loadu_ps(r2 + j);
-    __m256 acc3 = _mm256_loadu_ps(r3 + j);
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m256 vb = _mm256_loadu_ps(b + k * N + j);
-      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 0)), vb, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 1)), vb, acc1);
-      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 2)), vb, acc2);
-      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a_at(k, 3)), vb, acc3);
-    }
-    _mm256_storeu_ps(r0 + j, acc0);
-    _mm256_storeu_ps(r1 + j, acc1);
-    _mm256_storeu_ps(r2 + j, acc2);
-    _mm256_storeu_ps(r3 + j, acc3);
+  static reg pow2n(reg n) {
+    const __m256i biased =
+        _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(0x7f));
+    return _mm256_castsi256_ps(_mm256_slli_epi32(biased, 23));
   }
-  if (j < N) {
-    float* rows[4] = {r0, r1, r2, r3};
-    for (std::size_t k = 0; k < K; ++k) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const float av = a_at(k, r);
-        for (std::size_t jj = j; jj < N; ++jj) {
-          rows[r][jj] = std::fmaf(av, b[k * N + jj], rows[r][jj]);
-        }
-      }
-    }
-  }
-}
-
-/// Row-at-a-time fallback for the < 4 leftover rows of a partition: the
-/// same ascending-k, every-k, fused discipline, so a row computes the same
-/// bits whether it lands here or in a micro4x16 group.
-inline void one_row(const float* a_row, const float* b, float* out_row,
-                    std::size_t K, std::size_t N) {
-  for (std::size_t k = 0; k < K; ++k) {
-    fma1_row(b + k * N, a_row[k], out_row, N);
-  }
-}
-
-void nn_rows(const float* a, const float* b, float* out, std::size_t K,
-             std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
-    const float* a0 = a + i * K;
-    micro4x16(
-        [&](std::size_t k, std::size_t r) { return a0[r * K + k]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) one_row(a + i * K, b, out + i * N, K, N);
-}
-
-void tn_rows(const float* a, const float* b, float* out, std::size_t K,
-             std::size_t M, std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
-    // Out rows are columns of a: the four a-values of one k sit contiguously
-    // at a[k*M + i .. i+3].
-    const float* a_col = a + i;
-    micro4x16(
-        [&](std::size_t k, std::size_t r) { return a_col[k * M + r]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) {
-    float* out_row = out + i * N;
-    const float* a_col = a + i;
-    for (std::size_t k = 0; k < K; ++k) {
-      fma1_row(b + k * N, a_col[k * M], out_row, N);
-    }
-  }
-}
-
-// ---- fused gate kernels ----------------------------------------------------
-
-// Ragged tails (H % 8 columns) run the shared scalar bodies
-// (kernels_scalar_tail.hpp). Their rounding differs from the vector lanes,
-// but each element is computed the same way on every run and every thread
-// count, which is all §5 requires.
-
-void gates_forward_rows(const float* a, const float* c_prev, float* i,
-                        float* f, float* o, float* g, float* c, float* tanh_c,
-                        float* h, std::size_t H, std::size_t rb,
-                        std::size_t re) {
-  for (std::size_t r = rb; r < re; ++r) {
-    const float* ar = a + r * 4 * H;
-    const float* cp = c_prev + r * H;
-    float* ir = i + r * H;
-    float* fr = f + r * H;
-    float* orow = o + r * H;
-    float* gr = g + r * H;
-    float* cr = c + r * H;
-    float* tr = tanh_c + r * H;
-    float* hr = h + r * H;
-    std::size_t j = 0;
-    for (; j + 8 <= H; j += 8) {
-      const __m256 vi = sigmoid8(_mm256_loadu_ps(ar + j));
-      const __m256 vf = sigmoid8(_mm256_loadu_ps(ar + H + j));
-      const __m256 vo = sigmoid8(_mm256_loadu_ps(ar + 2 * H + j));
-      const __m256 vg = tanh8(_mm256_loadu_ps(ar + 3 * H + j));
-      const __m256 vc = _mm256_fmadd_ps(vf, _mm256_loadu_ps(cp + j),
-                                        _mm256_mul_ps(vi, vg));
-      const __m256 vt = tanh8(vc);
-      _mm256_storeu_ps(ir + j, vi);
-      _mm256_storeu_ps(fr + j, vf);
-      _mm256_storeu_ps(orow + j, vo);
-      _mm256_storeu_ps(gr + j, vg);
-      _mm256_storeu_ps(cr + j, vc);
-      _mm256_storeu_ps(tr + j, vt);
-      _mm256_storeu_ps(hr + j, _mm256_mul_ps(vo, vt));
-    }
-    detail::scalar_gates_forward_cols(ar, cp, ir, fr, orow, gr, cr, tr, hr,
-                                      H, /*j0=*/j);
-  }
-}
-
-void gates_backward_rows(const float* i, const float* f, const float* o,
-                         const float* g, const float* c_prev,
-                         const float* tanh_c, const float* dh,
-                         const float* dc_in, float* da, float* dc_prev,
-                         std::size_t H, std::size_t carry_rows, std::size_t rb,
-                         std::size_t re) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  for (std::size_t r = rb; r < re; ++r) {
-    const float* ir = i + r * H;
-    const float* fr = f + r * H;
-    const float* orow = o + r * H;
-    const float* gr = g + r * H;
-    const float* cp = c_prev + r * H;
-    const float* tr = tanh_c + r * H;
-    const float* dhr = dh + r * H;
-    const float* dci = r < carry_rows ? dc_in + r * H : nullptr;
-    float* dar = da + r * 4 * H;
-    float* dcp = dc_prev + r * H;
-    std::size_t j = 0;
-    for (; j + 8 <= H; j += 8) {
-      const __m256 vdh = _mm256_loadu_ps(dhr + j);
-      const __m256 vt = _mm256_loadu_ps(tr + j);
-      const __m256 vo = _mm256_loadu_ps(orow + j);
-      const __m256 vi = _mm256_loadu_ps(ir + j);
-      const __m256 vf = _mm256_loadu_ps(fr + j);
-      const __m256 vg = _mm256_loadu_ps(gr + j);
-      const __m256 do_out = _mm256_mul_ps(vdh, vt);
-      __m256 vdc = _mm256_mul_ps(
-          _mm256_mul_ps(vdh, vo),
-          _mm256_fnmadd_ps(vt, vt, one));
-      if (dci != nullptr) vdc = _mm256_add_ps(vdc, _mm256_loadu_ps(dci + j));
-      _mm256_storeu_ps(dcp + j, _mm256_mul_ps(vdc, vf));
-      const __m256 di_out = _mm256_mul_ps(vdc, vg);
-      const __m256 df_out = _mm256_mul_ps(vdc, _mm256_loadu_ps(cp + j));
-      const __m256 dg_out = _mm256_mul_ps(vdc, vi);
-      _mm256_storeu_ps(
-          dar + j,
-          _mm256_mul_ps(di_out,
-                        _mm256_mul_ps(vi, _mm256_sub_ps(one, vi))));
-      _mm256_storeu_ps(
-          dar + H + j,
-          _mm256_mul_ps(df_out,
-                        _mm256_mul_ps(vf, _mm256_sub_ps(one, vf))));
-      _mm256_storeu_ps(
-          dar + 2 * H + j,
-          _mm256_mul_ps(do_out,
-                        _mm256_mul_ps(vo, _mm256_sub_ps(one, vo))));
-      _mm256_storeu_ps(dar + 3 * H + j,
-                       _mm256_mul_ps(dg_out, _mm256_fnmadd_ps(vg, vg, one)));
-    }
-    detail::scalar_gates_backward_cols(ir, fr, orow, gr, cp, tr, dhr, dci,
-                                       dar, dcp, H, /*j0=*/j);
-  }
-}
-
-// Row-wise softmax on the polynomial exp8. Per row: vector max (exact, so
-// the subtracted pivot matches the scalar backend bit-for-bit), exp over
-// 8-lane groups with a scalar polynomial tail, lane-grouped sum finished by
-// one horizontal add. The sum order differs from the scalar backend (allowed
-// between backends) but is a fixed function of C alone, so a row's bits
-// never depend on B or on the partition.
-
-
-void softmax_rows_(float* m, std::size_t C, std::size_t rb, std::size_t re) {
-  for (std::size_t r = rb; r < re; ++r) {
-    float* row = m + r * C;
-    float mx = row[0];
-    std::size_t j = 1;
-    if (C >= 9) {
-      __m256 vmx = _mm256_loadu_ps(row);
-      for (j = 8; j + 8 <= C; j += 8) {
-        vmx = _mm256_max_ps(vmx, _mm256_loadu_ps(row + j));
-      }
-      alignas(32) float lanes[8];
-      _mm256_store_ps(lanes, vmx);
-      mx = lanes[0];
-      for (int l = 1; l < 8; ++l) mx = std::max(mx, lanes[l]);
-    }
-    for (; j < C; ++j) mx = std::max(mx, row[j]);
-
-    const __m256 vpivot = _mm256_set1_ps(mx);
-    __m256 vsum = _mm256_setzero_ps();
-    for (j = 0; j + 8 <= C; j += 8) {
-      const __m256 e = exp8(_mm256_sub_ps(_mm256_loadu_ps(row + j), vpivot));
-      _mm256_storeu_ps(row + j, e);
-      vsum = _mm256_add_ps(vsum, e);
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, vsum);
-    float sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-                ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    for (; j < C; ++j) {
-      row[j] = detail::scalar_exp_poly(row[j] - mx);
-      sum += row[j];
-    }
-
-    const float inv = 1.0f / sum;
-    const __m256 vinv = _mm256_set1_ps(inv);
-    for (j = 0; j + 8 <= C; j += 8) {
-      _mm256_storeu_ps(row + j,
-                       _mm256_mul_ps(_mm256_loadu_ps(row + j), vinv));
-    }
-    for (; j < C; ++j) row[j] *= inv;
-  }
-}
+};
 
 /// Batched Eytzinger search, 4 queries per vector: all four descents step in
 /// lockstep via a masked 64-bit gather, so the four node loads of one
@@ -455,8 +132,9 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kAvx2Backend = {
-    "avx2", nn_rows, tn_rows, gates_forward_rows, gates_backward_rows,
-    softmax_rows_, sigdb_lookup_rows_,
+    "avx2", simd_nn_rows<Avx2>, simd_tn_rows<Avx2>,
+    simd_gates_forward_rows<Avx2>, simd_gates_backward_rows<Avx2>,
+    simd_softmax_rows<Avx2>, sigdb_lookup_rows_,
 };
 
 }  // namespace

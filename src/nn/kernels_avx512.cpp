@@ -1,17 +1,9 @@
-// AVX-512 kernel backend (DESIGN.md §7, §11): 16-wide register-blocked
-// micro-kernels for the matmul inner loops and fused LSTM gate kernels with
-// a vectorized exponential. This TU is the only one compiled with
+// AVX-512 kernel backend (DESIGN.md §7, §11): the 16-lane ops struct that
+// instantiates the shared SIMD kernel body (kernels_simd.hpp), plus this
+// width's own gathered sigdb walk. This TU is the only one compiled with
 // -mavx512f -mavx512bw -mavx512vl (per-file CMake flags), so the enclosing
 // binary stays baseline-safe: nothing here runs unless the cpuid dispatcher
 // (which also checks the OS saves ZMM/opmask state) picked it.
-//
-// Rounding: the j (column) dimension is vectorized, so per output element
-// the k-summation ORDER is identical to the scalar backend — only FMA
-// contraction and the polynomial exp change the last bits. Row partitioning
-// across pool workers therefore stays bit-identical within this backend.
-//
-// Sign-bit tricks use integer ops through casts (_mm512_and_ps and friends
-// are AVX-512DQ, which this TU deliberately does not require).
 #include "nn/kernel_backend.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
@@ -25,366 +17,55 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 
-#include "nn/kernels_scalar_tail.hpp"
-#include "nn/sigdb_lookup_common.hpp"
+#include "nn/kernels_simd.hpp"
 
 namespace mlad::nn {
 namespace {
 
-// ---- vector transcendentals ------------------------------------------------
-
-/// Cephes-style polynomial exp, elementwise over 16 lanes (~1 ulp) — the
-/// same constants as the AVX2/NEON backends' 8/4-lane versions. Input is
-/// clamped to the finite-float exponent range.
-inline __m512 exp16(__m512 x) {
-  const __m512 hi = _mm512_set1_ps(88.3762626647949f);
-  const __m512 lo = _mm512_set1_ps(-88.3762626647949f);
-  const __m512 log2e = _mm512_set1_ps(1.44269504088896341f);
-  const __m512 ln2_hi = _mm512_set1_ps(0.693359375f);
-  const __m512 ln2_lo = _mm512_set1_ps(-2.12194440e-4f);
-  const __m512 one = _mm512_set1_ps(1.0f);
-
-  x = _mm512_max_ps(_mm512_min_ps(x, hi), lo);
-
-  // n = floor(x/ln2 + 0.5); reduce x to r = x - n*ln2 (split constant).
-  __m512 n = _mm512_roundscale_ps(
-      _mm512_fmadd_ps(x, log2e, _mm512_set1_ps(0.5f)),
-      _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-  x = _mm512_fnmadd_ps(n, ln2_hi, x);
-  x = _mm512_fnmadd_ps(n, ln2_lo, x);
-
-  // exp(r) ≈ 1 + r + r²·P(r).
-  __m512 y = _mm512_set1_ps(1.9875691500e-4f);
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(1.3981999507e-3f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(8.3334519073e-3f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(4.1665795894e-2f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(1.6666665459e-1f));
-  y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(5.0000001201e-1f));
-  y = _mm512_fmadd_ps(y, _mm512_mul_ps(x, x), _mm512_add_ps(x, one));
-
-  // Scale by 2^n through the exponent bits.
-  __m512i pow2n = _mm512_slli_epi32(
-      _mm512_add_epi32(_mm512_cvttps_epi32(n), _mm512_set1_epi32(0x7f)), 23);
-  return _mm512_mul_ps(y, _mm512_castsi512_ps(pow2n));
-}
-
-/// σ(x) = (x ≥ 0 ? 1 : e) / (1 + e) with e = exp(-|x|) — the same
-/// overflow-free form as the scalar k_sigmoid.
-inline __m512 sigmoid16(__m512 x) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512i sign_mask = _mm512_set1_epi32(0x80000000);
-  const __m512 absx = _mm512_castsi512_ps(
-      _mm512_andnot_si512(sign_mask, _mm512_castps_si512(x)));
-  const __m512 e = exp16(_mm512_sub_ps(_mm512_setzero_ps(), absx));
-  const __mmask16 nonneg =
-      _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_GE_OQ);
-  const __m512 num = _mm512_mask_blend_ps(nonneg, e, one);
-  return _mm512_div_ps(num, _mm512_add_ps(one, e));
-}
-
-/// tanh(x) = sign(x)·(1 − e₂)/(1 + e₂) with e₂ = exp(−2|x|); never
-/// overflows and is exact at ±∞-saturation.
-inline __m512 tanh16(__m512 x) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512i sign_mask = _mm512_set1_epi32(0x80000000);
-  const __m512i xi = _mm512_castps_si512(x);
-  const __m512i sign = _mm512_and_si512(sign_mask, xi);
-  const __m512 absx = _mm512_castsi512_ps(_mm512_andnot_si512(sign_mask, xi));
-  const __m512 e2 = exp16(_mm512_mul_ps(absx, _mm512_set1_ps(-2.0f)));
-  const __m512 t =
-      _mm512_div_ps(_mm512_sub_ps(one, e2), _mm512_add_ps(one, e2));
-  return _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(t), sign));
-}
-
-// ---- matmul micro-kernels --------------------------------------------------
-
-// Per-element accumulation discipline of this backend: ascending k, a FUSED
-// multiply-add at EVERY k (_mm512_fmadd_ps in the vector lanes, std::fmaf
-// in scalar tails) — no zero-skipping, exactly the AVX2 backend's contract
-// (see kernels_avx2.cpp for the full rationale). With every k executed, an
-// output element's bit pattern is independent of which loop shape a
-// partition routed it through, so the §5 contract holds within this backend.
-
-inline void fma1_row(const float* b_row, float aik, float* out_row,
-                     std::size_t N) {
-  const __m512 va = _mm512_set1_ps(aik);
-  std::size_t j = 0;
-  for (; j + 16 <= N; j += 16) {
-    _mm512_storeu_ps(out_row + j,
-                     _mm512_fmadd_ps(va, _mm512_loadu_ps(b_row + j),
-                                     _mm512_loadu_ps(out_row + j)));
+/// 16-lane AVX-512 vector ops for the shared kernel body (kernels_simd.hpp).
+/// Sign-bit tricks use integer ops through casts (_mm512_and_ps and friends
+/// are AVX-512DQ, which this TU deliberately does not require).
+struct Avx512 {
+  using reg = __m512;
+  static constexpr std::size_t W = 16;
+  static reg load(const float* p) { return _mm512_loadu_ps(p); }
+  static void store(float* p, reg v) { _mm512_storeu_ps(p, v); }
+  static reg set1(float x) { return _mm512_set1_ps(x); }
+  static reg zero() { return _mm512_setzero_ps(); }
+  static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
+  static reg sub(reg a, reg b) { return _mm512_sub_ps(a, b); }
+  static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
+  static reg div(reg a, reg b) { return _mm512_div_ps(a, b); }
+  static reg fma(reg a, reg b, reg c) { return _mm512_fmadd_ps(a, b, c); }
+  static reg fnmadd(reg a, reg b, reg c) { return _mm512_fnmadd_ps(a, b, c); }
+  static reg min(reg a, reg b) { return _mm512_min_ps(a, b); }
+  static reg max(reg a, reg b) { return _mm512_max_ps(a, b); }
+  static reg floor(reg x) {
+    return _mm512_roundscale_ps(x, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
   }
-  for (; j < N; ++j) out_row[j] = std::fmaf(aik, b_row[j], out_row[j]);
-}
-
-/// Register-blocked micro-kernel: 4 output rows × a 32-column tile, 8 zmm
-/// accumulators held across the whole K loop, so every loaded b row chunk is
-/// reused 4× (quarter the b traffic of the row-at-a-time kernel). `a_at(k, r)`
-/// must return a(row r, k); row grouping never changes any element's
-/// k-summation order, so determinism is untouched.
-template <typename AccessA>
-inline void micro4x32(const AccessA& a_at, const float* b, float* r0,
-                      float* r1, float* r2, float* r3, std::size_t K,
-                      std::size_t N) {
-  std::size_t j = 0;
-  for (; j + 32 <= N; j += 32) {
-    __m512 acc00 = _mm512_loadu_ps(r0 + j);
-    __m512 acc01 = _mm512_loadu_ps(r0 + j + 16);
-    __m512 acc10 = _mm512_loadu_ps(r1 + j);
-    __m512 acc11 = _mm512_loadu_ps(r1 + j + 16);
-    __m512 acc20 = _mm512_loadu_ps(r2 + j);
-    __m512 acc21 = _mm512_loadu_ps(r2 + j + 16);
-    __m512 acc30 = _mm512_loadu_ps(r3 + j);
-    __m512 acc31 = _mm512_loadu_ps(r3 + j + 16);
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m512 vb0 = _mm512_loadu_ps(b + k * N + j);
-      const __m512 vb1 = _mm512_loadu_ps(b + k * N + j + 16);
-      acc00 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 0)), vb0, acc00);
-      acc01 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 0)), vb1, acc01);
-      acc10 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 1)), vb0, acc10);
-      acc11 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 1)), vb1, acc11);
-      acc20 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 2)), vb0, acc20);
-      acc21 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 2)), vb1, acc21);
-      acc30 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 3)), vb0, acc30);
-      acc31 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 3)), vb1, acc31);
-    }
-    _mm512_storeu_ps(r0 + j, acc00);
-    _mm512_storeu_ps(r0 + j + 16, acc01);
-    _mm512_storeu_ps(r1 + j, acc10);
-    _mm512_storeu_ps(r1 + j + 16, acc11);
-    _mm512_storeu_ps(r2 + j, acc20);
-    _mm512_storeu_ps(r2 + j + 16, acc21);
-    _mm512_storeu_ps(r3 + j, acc30);
-    _mm512_storeu_ps(r3 + j + 16, acc31);
+  static reg abs(reg x) {
+    const __m512i bits = _mm512_castps_si512(x);
+    return _mm512_castsi512_ps(_mm512_andnot_si512(sign_mask(), bits));
   }
-  for (; j + 16 <= N; j += 16) {
-    __m512 acc0 = _mm512_loadu_ps(r0 + j);
-    __m512 acc1 = _mm512_loadu_ps(r1 + j);
-    __m512 acc2 = _mm512_loadu_ps(r2 + j);
-    __m512 acc3 = _mm512_loadu_ps(r3 + j);
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m512 vb = _mm512_loadu_ps(b + k * N + j);
-      acc0 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 0)), vb, acc0);
-      acc1 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 1)), vb, acc1);
-      acc2 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 2)), vb, acc2);
-      acc3 = _mm512_fmadd_ps(_mm512_set1_ps(a_at(k, 3)), vb, acc3);
-    }
-    _mm512_storeu_ps(r0 + j, acc0);
-    _mm512_storeu_ps(r1 + j, acc1);
-    _mm512_storeu_ps(r2 + j, acc2);
-    _mm512_storeu_ps(r3 + j, acc3);
+  static reg copysign(reg m, reg x) {
+    const __m512i sign = _mm512_and_si512(sign_mask(), _mm512_castps_si512(x));
+    return _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(m), sign));
   }
-  if (j < N) {
-    float* rows[4] = {r0, r1, r2, r3};
-    for (std::size_t k = 0; k < K; ++k) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const float av = a_at(k, r);
-        for (std::size_t jj = j; jj < N; ++jj) {
-          rows[r][jj] = std::fmaf(av, b[k * N + jj], rows[r][jj]);
-        }
-      }
-    }
+  static reg select_nonneg(reg x, reg t, reg f) {
+    const __mmask16 nonneg = _mm512_cmp_ps_mask(x, zero(), _CMP_GE_OQ);
+    return _mm512_mask_blend_ps(nonneg, f, t);
   }
-}
-
-/// Row-at-a-time fallback for the < 4 leftover rows of a partition: the
-/// same ascending-k, every-k, fused discipline, so a row computes the same
-/// bits whether it lands here or in a micro4x32 group.
-inline void one_row(const float* a_row, const float* b, float* out_row,
-                    std::size_t K, std::size_t N) {
-  for (std::size_t k = 0; k < K; ++k) {
-    fma1_row(b + k * N, a_row[k], out_row, N);
+  static reg pow2n(reg n) {
+    const __m512i biased =
+        _mm512_add_epi32(_mm512_cvttps_epi32(n), _mm512_set1_epi32(0x7f));
+    return _mm512_castsi512_ps(_mm512_slli_epi32(biased, 23));
   }
-}
-
-void nn_rows(const float* a, const float* b, float* out, std::size_t K,
-             std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
-    const float* a0 = a + i * K;
-    micro4x32(
-        [&](std::size_t k, std::size_t r) { return a0[r * K + k]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) one_row(a + i * K, b, out + i * N, K, N);
-}
-
-void tn_rows(const float* a, const float* b, float* out, std::size_t K,
-             std::size_t M, std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
-    // Out rows are columns of a: the four a-values of one k sit contiguously
-    // at a[k*M + i .. i+3].
-    const float* a_col = a + i;
-    micro4x32(
-        [&](std::size_t k, std::size_t r) { return a_col[k * M + r]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) {
-    float* out_row = out + i * N;
-    const float* a_col = a + i;
-    for (std::size_t k = 0; k < K; ++k) {
-      fma1_row(b + k * N, a_col[k * M], out_row, N);
-    }
-  }
-}
-
-// ---- fused gate kernels ----------------------------------------------------
-
-// Ragged tails (H % 16 columns) run the shared scalar bodies
-// (kernels_scalar_tail.hpp). Their rounding differs from the vector lanes,
-// but each element is computed the same way on every run and every thread
-// count, which is all §5 requires.
-
-void gates_forward_rows(const float* a, const float* c_prev, float* i,
-                        float* f, float* o, float* g, float* c, float* tanh_c,
-                        float* h, std::size_t H, std::size_t rb,
-                        std::size_t re) {
-  for (std::size_t r = rb; r < re; ++r) {
-    const float* ar = a + r * 4 * H;
-    const float* cp = c_prev + r * H;
-    float* ir = i + r * H;
-    float* fr = f + r * H;
-    float* orow = o + r * H;
-    float* gr = g + r * H;
-    float* cr = c + r * H;
-    float* tr = tanh_c + r * H;
-    float* hr = h + r * H;
-    std::size_t j = 0;
-    for (; j + 16 <= H; j += 16) {
-      const __m512 vi = sigmoid16(_mm512_loadu_ps(ar + j));
-      const __m512 vf = sigmoid16(_mm512_loadu_ps(ar + H + j));
-      const __m512 vo = sigmoid16(_mm512_loadu_ps(ar + 2 * H + j));
-      const __m512 vg = tanh16(_mm512_loadu_ps(ar + 3 * H + j));
-      const __m512 vc = _mm512_fmadd_ps(vf, _mm512_loadu_ps(cp + j),
-                                        _mm512_mul_ps(vi, vg));
-      const __m512 vt = tanh16(vc);
-      _mm512_storeu_ps(ir + j, vi);
-      _mm512_storeu_ps(fr + j, vf);
-      _mm512_storeu_ps(orow + j, vo);
-      _mm512_storeu_ps(gr + j, vg);
-      _mm512_storeu_ps(cr + j, vc);
-      _mm512_storeu_ps(tr + j, vt);
-      _mm512_storeu_ps(hr + j, _mm512_mul_ps(vo, vt));
-    }
-    detail::scalar_gates_forward_cols(ar, cp, ir, fr, orow, gr, cr, tr, hr,
-                                      H, /*j0=*/j);
-  }
-}
-
-void gates_backward_rows(const float* i, const float* f, const float* o,
-                         const float* g, const float* c_prev,
-                         const float* tanh_c, const float* dh,
-                         const float* dc_in, float* da, float* dc_prev,
-                         std::size_t H, std::size_t carry_rows, std::size_t rb,
-                         std::size_t re) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  for (std::size_t r = rb; r < re; ++r) {
-    const float* ir = i + r * H;
-    const float* fr = f + r * H;
-    const float* orow = o + r * H;
-    const float* gr = g + r * H;
-    const float* cp = c_prev + r * H;
-    const float* tr = tanh_c + r * H;
-    const float* dhr = dh + r * H;
-    const float* dci = r < carry_rows ? dc_in + r * H : nullptr;
-    float* dar = da + r * 4 * H;
-    float* dcp = dc_prev + r * H;
-    std::size_t j = 0;
-    for (; j + 16 <= H; j += 16) {
-      const __m512 vdh = _mm512_loadu_ps(dhr + j);
-      const __m512 vt = _mm512_loadu_ps(tr + j);
-      const __m512 vo = _mm512_loadu_ps(orow + j);
-      const __m512 vi = _mm512_loadu_ps(ir + j);
-      const __m512 vf = _mm512_loadu_ps(fr + j);
-      const __m512 vg = _mm512_loadu_ps(gr + j);
-      const __m512 do_out = _mm512_mul_ps(vdh, vt);
-      __m512 vdc = _mm512_mul_ps(
-          _mm512_mul_ps(vdh, vo),
-          _mm512_fnmadd_ps(vt, vt, one));
-      if (dci != nullptr) vdc = _mm512_add_ps(vdc, _mm512_loadu_ps(dci + j));
-      _mm512_storeu_ps(dcp + j, _mm512_mul_ps(vdc, vf));
-      const __m512 di_out = _mm512_mul_ps(vdc, vg);
-      const __m512 df_out = _mm512_mul_ps(vdc, _mm512_loadu_ps(cp + j));
-      const __m512 dg_out = _mm512_mul_ps(vdc, vi);
-      _mm512_storeu_ps(
-          dar + j,
-          _mm512_mul_ps(di_out,
-                        _mm512_mul_ps(vi, _mm512_sub_ps(one, vi))));
-      _mm512_storeu_ps(
-          dar + H + j,
-          _mm512_mul_ps(df_out,
-                        _mm512_mul_ps(vf, _mm512_sub_ps(one, vf))));
-      _mm512_storeu_ps(
-          dar + 2 * H + j,
-          _mm512_mul_ps(do_out,
-                        _mm512_mul_ps(vo, _mm512_sub_ps(one, vo))));
-      _mm512_storeu_ps(dar + 3 * H + j,
-                       _mm512_mul_ps(dg_out, _mm512_fnmadd_ps(vg, vg, one)));
-    }
-    detail::scalar_gates_backward_cols(ir, fr, orow, gr, cp, tr, dhr, dci,
-                                       dar, dcp, H, /*j0=*/j);
-  }
-}
-
-// Row-wise softmax on the polynomial exp16. Per row: vector max (exact, so
-// the subtracted pivot matches the scalar backend bit-for-bit), exp over
-// 16-lane groups with a scalar polynomial tail, lane-grouped sum finished by
-// a fixed pairwise tree. The sum order differs from the scalar and AVX2
-// backends (allowed between backends) but is a fixed function of C alone,
-// so a row's bits never depend on B or on the partition.
-
-void softmax_rows_(float* m, std::size_t C, std::size_t rb, std::size_t re) {
-  for (std::size_t r = rb; r < re; ++r) {
-    float* row = m + r * C;
-    float mx = row[0];
-    std::size_t j = 1;
-    if (C >= 17) {
-      __m512 vmx = _mm512_loadu_ps(row);
-      for (j = 16; j + 16 <= C; j += 16) {
-        vmx = _mm512_max_ps(vmx, _mm512_loadu_ps(row + j));
-      }
-      alignas(64) float lanes[16];
-      _mm512_store_ps(lanes, vmx);
-      mx = lanes[0];
-      for (int l = 1; l < 16; ++l) mx = std::max(mx, lanes[l]);
-    }
-    for (; j < C; ++j) mx = std::max(mx, row[j]);
-
-    const __m512 vpivot = _mm512_set1_ps(mx);
-    __m512 vsum = _mm512_setzero_ps();
-    for (j = 0; j + 16 <= C; j += 16) {
-      const __m512 e = exp16(_mm512_sub_ps(_mm512_loadu_ps(row + j), vpivot));
-      _mm512_storeu_ps(row + j, e);
-      vsum = _mm512_add_ps(vsum, e);
-    }
-    alignas(64) float lanes[16];
-    _mm512_store_ps(lanes, vsum);
-    const float s0 = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-                     ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    const float s1 = ((lanes[8] + lanes[9]) + (lanes[10] + lanes[11])) +
-                     ((lanes[12] + lanes[13]) + (lanes[14] + lanes[15]));
-    float sum = s0 + s1;
-    for (; j < C; ++j) {
-      row[j] = detail::scalar_exp_poly(row[j] - mx);
-      sum += row[j];
-    }
-
-    const float inv = 1.0f / sum;
-    const __m512 vinv = _mm512_set1_ps(inv);
-    for (j = 0; j + 16 <= C; j += 16) {
-      _mm512_storeu_ps(row + j,
-                       _mm512_mul_ps(_mm512_loadu_ps(row + j), vinv));
-    }
-    for (; j < C; ++j) row[j] *= inv;
-  }
-}
+  static __m512i sign_mask() { return _mm512_set1_epi32(0x80000000); }
+};
 
 /// Batched Eytzinger search, 8 queries per vector: lockstep descents via a
 /// masked 64-bit gather with native unsigned compares
@@ -455,8 +136,9 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kAvx512Backend = {
-    "avx512", nn_rows, tn_rows, gates_forward_rows, gates_backward_rows,
-    softmax_rows_, sigdb_lookup_rows_,
+    "avx512", simd_nn_rows<Avx512>, simd_tn_rows<Avx512>,
+    simd_gates_forward_rows<Avx512>, simd_gates_backward_rows<Avx512>,
+    simd_softmax_rows<Avx512>, sigdb_lookup_rows_,
 };
 
 }  // namespace

@@ -4,14 +4,15 @@
 // node_count[q]] (slot 0 of every block is a sentinel) and reports the
 // 1-based Eytzinger position of the key, or 0 when absent.
 //
-// Included by every backend TU: the scalar/NEON backends use the
-// LEVEL-SYNCHRONOUS walk directly — all queries of a chunk advance one tree
-// level per sweep, so up to 64 independent loads are in flight at once and
-// the cache misses of different descents overlap; the win is memory-level
-// parallelism, not ALU width. The AVX2/AVX-512 TUs use the same
-// level-synchronous schedule with gathered lanes, and the single-query form
-// for remainders. The result is a pure function of (block contents, key),
-// so every backend is bit-identical by construction.
+// The scalar/NEON backends use the LEVEL-SYNCHRONOUS walk directly — all
+// queries of a chunk advance one tree level per sweep, so up to 64
+// independent loads are in flight at once and the cache misses of different
+// descents overlap; the win is memory-level parallelism, not ALU width. The
+// AVX2/AVX-512 TUs run their own gathered walks on the same
+// level-synchronous schedule and do not include this header; the
+// single-query form serves one-off lookups (sigdb/sigdb_view.cpp). The
+// result is a pure function of (block contents, key), so every backend is
+// bit-identical by construction.
 #pragma once
 
 #include <bit>

@@ -80,6 +80,12 @@ refused 'shards == 1' serve --captures c.cap,d.cap --model m.model --adapt \
 refused '--shards' serve --captures c.cap,d.cap --model m.model --shards -1
 refused '--park-after-ms' serve --captures c.cap,d.cap --model m.model \
   --park-after-ms -5
+# Numeric flags of the other subcommands are checked before any file is
+# read or trained on, so a refused train writes no model.
+refused '--batch' train --arff train.arff --model bad.model --batch -1
+test ! -e bad.model || fail "train --batch -1 wrote a model"
+refused '--threads' evaluate --arff train.arff --model m.model --threads -1
+refused '--streams' evaluate --arff train.arff --model m.model --streams abc
 refused 'unknown flag --park-after' serve --captures c.cap,d.cap \
   --model m.model --park-after 6
 refused 'unknown flag --bogus-flag' serve --captures c.cap,d.cap \

@@ -299,6 +299,96 @@ TEST(KernelBackends, BitIdenticalAcrossThreadCountsPerBackend) {
   }
 }
 
+TEST(KernelBackends, Avx2AndAvx512AgreeBitwiseWhereTheBodyIsShared) {
+  // Both backends instantiate one kernel body (kernels_simd.hpp) at 8 and
+  // 16 lanes. A matmul element is the same ascending-k chain of single-
+  // rounding fmas whether a vector lane or the fmaf tail computes it, and
+  // the gate kernels run every column in vector lanes when H % 16 == 0, so
+  // there the two widths must agree bit for bit. Left out: gates at other
+  // H (the scalar tails cover different columns) and softmax (the lane-sum
+  // trees differ by width).
+  const auto names = available_kernel_backends();
+  const auto usable = [&](const char* n) {
+    return std::find(names.begin(), names.end(), n) != names.end();
+  };
+  if (!usable("avx2") || !usable("avx512")) {
+    GTEST_SKIP() << "needs both the avx2 and avx512 backends usable";
+  }
+  const KernelBackend& v8 = *avx2_kernel_backend();
+  const KernelBackend& v16 = *avx512_kernel_backend();
+  Rng rng(99);
+
+  const std::size_t ms[] = {1, 3, 4, 5, 9, 17};
+  const std::size_t ks[] = {1, 7, 16, 33};
+  const std::size_t ns[] = {1, 5, 8, 9, 16, 17, 31, 32, 33, 65};
+  for (const std::size_t M : ms) {
+    for (const std::size_t K : ks) {
+      for (const std::size_t N : ns) {
+        std::string what = " M=" + std::to_string(M);
+        what += " K=" + std::to_string(K) + " N=" + std::to_string(N);
+        const Matrix a = random_matrix(M, K, rng, 0.3);
+        const Matrix at = random_matrix(K, M, rng, 0.3);
+        const Matrix b = random_matrix(K, N, rng);
+        const Matrix seed = random_matrix(M, N, rng);
+        Matrix o8 = seed;
+        Matrix o16 = seed;
+        v8.matmul_nn_rows(a.data(), b.data(), o8.data(), K, N, 0, M);
+        v16.matmul_nn_rows(a.data(), b.data(), o16.data(), K, N, 0, M);
+        expect_bitwise(o8, o16, "matmul_nn_rows" + what);
+        o8 = seed;
+        o16 = seed;
+        v8.matmul_tn_rows(at.data(), b.data(), o8.data(), K, M, N, 0, M);
+        v16.matmul_tn_rows(at.data(), b.data(), o16.data(), K, M, N, 0, M);
+        expect_bitwise(o8, o16, "matmul_tn_rows" + what);
+      }
+    }
+  }
+
+  for (const std::size_t H : {16u, 32u, 48u, 64u}) {
+    for (const std::size_t B : {1u, 3u, 8u}) {
+      const std::string what =
+          " H=" + std::to_string(H) + " B=" + std::to_string(B);
+      // ±10 pre-activations reach the saturated ends of σ and tanh.
+      Matrix a = random_matrix(B, 4 * H, rng);
+      for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] *= 5.0f;
+      const Matrix c_prev = random_matrix(B, H, rng);
+      Matrix fwd8[7], fwd16[7];
+      for (Matrix* fwd : {fwd8, fwd16}) {
+        for (std::size_t k = 0; k < 7; ++k) fwd[k] = Matrix(B, H);
+      }
+      const auto forward = [&](const KernelBackend& be, Matrix* o) {
+        be.gates_forward_rows(a.data(), c_prev.data(), o[0].data(),
+                              o[1].data(), o[2].data(), o[3].data(),
+                              o[4].data(), o[5].data(), o[6].data(), H, 0, B);
+      };
+      forward(v8, fwd8);
+      forward(v16, fwd16);
+      for (std::size_t k = 0; k < 7; ++k) {
+        expect_bitwise(fwd8[k], fwd16[k],
+                       "gates_forward_rows #" + std::to_string(k) + what);
+      }
+
+      // Backward over one shared forward; the carry covers a strict subset
+      // of rows so both dc_in paths run.
+      const Matrix dh = random_matrix(B, H, rng);
+      const Matrix dc_in = random_matrix(B, H, rng);
+      Matrix da8(B, 4 * H), dc8(B, H), da16(B, 4 * H), dc16(B, H);
+      const auto backward = [&](const KernelBackend& be, Matrix& da,
+                                Matrix& dc) {
+        const Matrix* f = fwd8;
+        be.gates_backward_rows(f[0].data(), f[1].data(), f[2].data(),
+                               f[3].data(), c_prev.data(), f[5].data(),
+                               dh.data(), dc_in.data(), da.data(), dc.data(), H,
+                               B - 1, 0, B);
+      };
+      backward(v8, da8, dc8);
+      backward(v16, da16, dc16);
+      expect_bitwise(da8, da16, "gates_backward_rows da" + what);
+      expect_bitwise(dc8, dc16, "gates_backward_rows dc_prev" + what);
+    }
+  }
+}
+
 TEST(KernelBackends, EnvVarOverridesDispatch) {
   BackendGuard restore;
   ASSERT_EQ(0, setenv("MLAD_KERNEL_BACKEND", "scalar", 1));

@@ -166,12 +166,21 @@ T checked_uint(const std::string& key, const std::string& text) {
   return static_cast<T>(v);
 }
 
-/// A millisecond threshold: a finite number >= 0 (0 = off). std::stod
-/// alone takes "-5", "inf" and "nan", and a negative threshold would
-/// silently mean "off".
-double checked_ms(const std::map<std::string, std::string>& flags,
-                  const std::string& key) {
-  const std::string text = get_or(flags, key, "0");
+/// checked_uint on --key, or on `fallback` when the flag is absent.
+template <typename T>
+T uint_flag(const std::map<std::string, std::string>& flags,
+            const std::string& key, const std::string& fallback) {
+  return checked_uint<T>(key, get_or(flags, key, fallback));
+}
+
+/// A real-valued flag: a finite number, >= 0 unless `allow_negative`.
+/// std::stod alone takes "-5", "inf" and "nan": a negative
+/// --park-after-ms would silently mean "off", and a NaN --speed would
+/// never pace.
+double real_flag(const std::map<std::string, std::string>& flags,
+                 const std::string& key, const std::string& fallback,
+                 bool allow_negative = false) {
+  const std::string text = get_or(flags, key, fallback);
   std::size_t used = 0;
   double v = -1.0;
   try {
@@ -179,9 +188,10 @@ double checked_ms(const std::map<std::string, std::string>& flags,
   } catch (const std::logic_error&) {
     // Not a number: `used` stays 0.
   }
-  if (used == 0 || used != text.size() || !std::isfinite(v) || v < 0.0) {
-    throw std::runtime_error("--" + key +
-                             " must be a finite number of ms >= 0, got \"" +
+  if (used == 0 || used != text.size() || !std::isfinite(v) ||
+      (v < 0.0 && !allow_negative)) {
+    throw std::runtime_error("--" + key + " must be a finite number" +
+                             (allow_negative ? "" : " >= 0") + ", got \"" +
                              text + "\"");
   }
   return v;
@@ -224,8 +234,8 @@ void maybe_attach_sigdb(const std::map<std::string, std::string>& flags,
 
 int cmd_simulate(const std::map<std::string, std::string>& flags) {
   ics::SimulatorConfig cfg;
-  cfg.cycles = std::stoul(get_or(flags, "cycles", "8000"));
-  cfg.seed = std::stoull(get_or(flags, "seed", "42"));
+  cfg.cycles = uint_flag<std::size_t>(flags, "cycles", "8000");
+  cfg.seed = uint_flag<std::uint64_t>(flags, "seed", "42");
   cfg.attacks_enabled = get_or(flags, "attacks", "on") != "off";
   ics::GasPipelineSimulator sim(cfg);
   const ics::SimulationResult result = sim.run();
@@ -252,6 +262,12 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
 int cmd_train(const std::map<std::string, std::string>& flags) {
   const std::string model_path = need(flags, "model");
   const auto adam_it = flags.find("adam-state");
+  // Every numeric flag is checked before any file is read or trained on.
+  const auto epochs = uint_flag<std::size_t>(flags, "epochs", "15");
+  const auto hidden = uint_flag<std::size_t>(flags, "hidden", "64");
+  const auto seed = uint_flag<std::uint64_t>(flags, "seed", "5");
+  const auto batch = uint_flag<std::size_t>(flags, "batch", "1");
+  const auto threads = uint_flag<std::size_t>(flags, "threads", "0");
 
   if (const auto resume_it = flags.find("resume"); resume_it != flags.end()) {
     const auto packages = ics::from_arff(read_arff_file(need(flags, "arff")));
@@ -261,9 +277,9 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
     auto detector = detect::load_framework_file(resume_it->second);
     detect::TimeSeriesDetector& ts = detector->timeseries_level();
     detect::TimeSeriesConfig ts_cfg = ts.config();
-    ts_cfg.epochs = std::stoul(get_or(flags, "epochs", "15"));
-    ts_cfg.batch_size = std::stoul(get_or(flags, "batch", "1"));
-    ts_cfg.threads = std::stoul(get_or(flags, "threads", "0"));
+    ts_cfg.epochs = epochs;
+    ts_cfg.batch_size = batch;
+    ts_cfg.threads = threads;
     ts.set_train_config(ts_cfg);
     print_compute_banner(ts_cfg.threads);
     if (adam_it != flags.end()) {
@@ -281,7 +297,7 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
           }
           return out;
         };
-    Rng rng(std::stoull(get_or(flags, "seed", "5")));
+    Rng rng(seed);
     const auto losses = ts.train(discretize(split.train_fragments), rng);
     ts.choose_k(discretize(split.validation_fragments));
     std::printf("resumed %s for %zu epochs: final loss %.6f, k=%zu\n",
@@ -297,16 +313,15 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
   }
 
   detect::PipelineConfig cfg;
-  cfg.combined.timeseries.epochs = std::stoul(get_or(flags, "epochs", "15"));
-  cfg.combined.timeseries.hidden_dims = {
-      std::stoul(get_or(flags, "hidden", "64"))};
-  cfg.seed = std::stoull(get_or(flags, "seed", "5"));
+  cfg.combined.timeseries.epochs = epochs;
+  cfg.combined.timeseries.hidden_dims = {hidden};
+  cfg.seed = seed;
   // Batched minibatch training on the worker pool. The default stays the
   // sequential per-window reference (--batch 1); with --batch B > 1 the
   // data-parallel engine runs, and --threads only changes scheduling —
   // results are bit-identical for any thread count (0 = all cores).
-  cfg.combined.timeseries.batch_size = std::stoul(get_or(flags, "batch", "1"));
-  cfg.combined.timeseries.threads = std::stoul(get_or(flags, "threads", "0"));
+  cfg.combined.timeseries.batch_size = batch;
+  cfg.combined.timeseries.threads = threads;
   print_compute_banner(cfg.combined.timeseries.threads);
 
   const auto finish = [&](const auto& fw) {
@@ -358,8 +373,6 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_evaluate(const std::map<std::string, std::string>& flags) {
-  const auto packages = ics::from_arff(read_arff_file(need(flags, "arff")));
-  const auto detector = detect::load_framework_file(need(flags, "model"));
   // Without --threads/--streams: the seed's exact single-stream evaluation.
   // With --threads: sharded evaluation, whose fixed shard boundaries keep
   // the metrics bit-identical for any thread count (see detect/pipeline.hpp)
@@ -371,11 +384,13 @@ int cmd_evaluate(const std::map<std::string, std::string>& flags) {
   const auto streams_it = flags.find("streams");
   detect::EvalOptions opts;
   if (threads_it != flags.end()) {
-    opts.threads = std::stoul(threads_it->second);
+    opts.threads = checked_uint<std::size_t>("threads", threads_it->second);
   }
   if (streams_it != flags.end()) {
-    opts.streams = std::stoul(streams_it->second);
+    opts.streams = checked_uint<std::size_t>("streams", streams_it->second);
   }
+  const auto packages = ics::from_arff(read_arff_file(need(flags, "arff")));
+  const auto detector = detect::load_framework_file(need(flags, "model"));
   print_compute_banner(threads_it != flags.end() ? opts.threads : 1);
   // --streams 1 (or 0) means "one stream" — the exact single-stream
   // reference, not the sharded evaluator, which only --threads selects.
@@ -400,11 +415,10 @@ int cmd_evaluate(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_monitor(const std::map<std::string, std::string>& flags) {
+  const auto max_alarms = uint_flag<std::size_t>(flags, "max-alarms", "20");
   const ics::Capture capture =
       ics::read_capture_file(need(flags, "capture"));
   const auto detector = detect::load_framework_file(need(flags, "model"));
-  const std::size_t max_alarms =
-      std::stoul(get_or(flags, "max-alarms", "20"));
 
   // The single-link case of the batched serve engine: verdicts match the
   // historical per-package loop (tests/support/reference_monitor.hpp) to
@@ -467,6 +481,7 @@ TelemetryRig setup_telemetry(const std::map<std::string, std::string>& flags) {
   const bool want_http = flags.count("metrics-port") != 0;
   const bool want_stats = flags.count("stats-out") != 0;
   if (!want_http && !want_stats) return rig;
+  const double stats_interval = real_flag(flags, "stats-interval", "1");
   rig.registry = std::make_unique<obs::MetricsRegistry>();
   if (want_http) {
     rig.http = std::make_unique<obs::MetricsHttpServer>(
@@ -478,8 +493,7 @@ TelemetryRig setup_telemetry(const std::map<std::string, std::string>& flags) {
   }
   if (want_stats) {
     rig.writer = std::make_unique<obs::StatsWriter>(
-        *rig.registry, flags.at("stats-out"),
-        std::stod(get_or(flags, "stats-interval", "1")));
+        *rig.registry, flags.at("stats-out"), stats_interval);
   }
   return rig;
 }
@@ -514,20 +528,45 @@ void print_source_health(const ingest::SourceHealth& h) {
 /// 1) engine shards; per-link verdicts are bit-identical for any shard
 /// count. --adapt needs --shards 1.
 int cmd_serve(const std::map<std::string, std::string>& flags) {
-  const auto detector = detect::load_framework_file(need(flags, "model"));
-
+  // Every numeric flag is checked before the model loads or a socket binds.
   serve::ShardedEngineConfig cfg;
-  cfg.shards =
-      checked_uint<std::size_t>("shards", get_or(flags, "shards", "1"));
-  cfg.queue_capacity = checked_uint<std::size_t>(
-      "queue-cap", get_or(flags, "queue-cap", "4096"));
-  cfg.engine.threads =
-      checked_uint<std::size_t>("threads", get_or(flags, "threads", "1"));
+  cfg.shards = uint_flag<std::size_t>(flags, "shards", "1");
+  cfg.queue_capacity = uint_flag<std::size_t>(flags, "queue-cap", "4096");
+  cfg.engine.threads = uint_flag<std::size_t>(flags, "threads", "1");
   // Straggler ladder (DESIGN.md §12): park, then close, a link that blocks
   // the lockstep gate for that many real milliseconds.
-  cfg.engine.park_after_ms = checked_ms(flags, "park-after-ms");
-  cfg.engine.close_after_ms = checked_ms(flags, "close-after-ms");
-  cfg.engine.park_hysteresis_ms = checked_ms(flags, "park-hysteresis-ms");
+  cfg.engine.park_after_ms = real_flag(flags, "park-after-ms", "0");
+  cfg.engine.close_after_ms = real_flag(flags, "close-after-ms", "0");
+  cfg.engine.park_hysteresis_ms = real_flag(flags, "park-hysteresis-ms", "0");
+  const double speed = real_flag(flags, "speed", "1");
+  const auto port = uint_flag<std::uint16_t>(flags, "listen", "5502");
+  const auto max_conns = uint_flag<std::size_t>(flags, "max-conns", "16");
+  const auto idle_timeout_ms = uint_flag<int>(flags, "idle-timeout-ms", "0");
+  const auto max_alarms = uint_flag<std::size_t>(flags, "max-alarms", "20");
+  // Read only under --adapt.
+  const bool adapt_on = get_or(flags, "adapt", "off") != "off";
+  adapt::AdaptConfig acfg;
+  acfg.replay_capacity = uint_flag<std::size_t>(flags, "replay-cap", "256");
+  acfg.window_len = uint_flag<std::size_t>(flags, "adapt-window", "48");
+  acfg.min_windows = uint_flag<std::size_t>(flags, "adapt-min-windows", "8");
+  acfg.epochs_per_round = uint_flag<std::size_t>(flags, "adapt-epochs", "1");
+  acfg.max_steps_per_round =
+      uint_flag<std::size_t>(flags, "adapt-max-steps", "0");
+  acfg.threads = uint_flag<std::size_t>(flags, "adapt-threads", "1");
+  acfg.seed = uint_flag<std::uint64_t>(flags, "adapt-seed", "1");
+  acfg.swap_history = uint_flag<std::size_t>(flags, "adapt-history", "4");
+  // Rollback-suite fault hook: corrupt the Nth published round's weights.
+  acfg.poison_round =
+      uint_flag<std::uint64_t>(flags, "adapt-poison-round", "0");
+  // May be negative: the weights are multiplied by it.
+  acfg.poison_scale = real_flag(flags, "adapt-poison-scale", "8", true);
+  const auto adapt_interval =
+      uint_flag<std::size_t>(flags, "adapt-interval", "512");
+  const auto rollback_window =
+      uint_flag<std::size_t>(flags, "rollback-window", "0");
+  const double rollback_ratio = real_flag(flags, "rollback-ratio", "4");
+
+  const auto detector = detect::load_framework_file(need(flags, "model"));
 
   // Front end: an in-memory capture drain, a paced pcap-style replay, or a
   // live UDP/TCP socket listener receiving MLF1 records.
@@ -537,21 +576,16 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     source = std::make_unique<ingest::CaptureSource>(
         ics::merge_captures(load_captures(flags)));
   } else if (source_kind == "replay") {
-    const double speed = std::stod(get_or(flags, "speed", "1"));
     source = std::make_unique<ingest::PcapReplaySource>(
         ics::merge_captures(load_captures(flags)), speed);
   } else if (source_kind == "udp" || source_kind == "tcp") {
-    const auto port =
-        checked_uint<std::uint16_t>("listen", get_or(flags, "listen", "5502"));
     const std::string bind_addr = get_or(flags, "bind", "127.0.0.1");
     std::unique_ptr<ingest::SocketSource> sock;
     if (source_kind == "udp") {
       sock = std::make_unique<ingest::UdpSource>(port, bind_addr);
     } else {
-      sock = std::make_unique<ingest::TcpSource>(
-          port, bind_addr, std::stoul(get_or(flags, "max-conns", "16")),
-          checked_uint<int>("idle-timeout-ms",
-                            get_or(flags, "idle-timeout-ms", "0")));
+      sock = std::make_unique<ingest::TcpSource>(port, bind_addr, max_conns,
+                                                 idle_timeout_ms);
     }
     std::printf("listening on %s %s:%u (MLF1 records; FIN record ends the "
                 "stream)\n",
@@ -571,8 +605,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 
   // Console unless --sink names a file (.csv → CSV, else JSONL); the
   // console then only shows the closing stats.
-  const std::size_t max_alarms =
-      std::stoul(get_or(flags, "max-alarms", "20"));
   std::unique_ptr<serve::AlarmSink> file_sink;
   serve::ConsoleAlarmSink console(stdout, max_alarms, /*show_link=*/true);
   serve::AlarmSink* sink = &console;
@@ -590,21 +622,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   // (DESIGN.md §9). Default off — without it the serve data path is
   // bit-identical to previous releases.
   std::unique_ptr<adapt::OnlineTrainer> adapter;
-  if (get_or(flags, "adapt", "off") != "off") {
-    adapt::AdaptConfig acfg;
-    acfg.replay_capacity = std::stoul(get_or(flags, "replay-cap", "256"));
-    acfg.window_len = std::stoul(get_or(flags, "adapt-window", "48"));
-    acfg.min_windows = std::stoul(get_or(flags, "adapt-min-windows", "8"));
-    acfg.epochs_per_round = std::stoul(get_or(flags, "adapt-epochs", "1"));
-    acfg.max_steps_per_round =
-        std::stoul(get_or(flags, "adapt-max-steps", "0"));
-    acfg.threads = std::stoul(get_or(flags, "adapt-threads", "1"));
-    acfg.seed = std::stoull(get_or(flags, "adapt-seed", "1"));
-    acfg.swap_history = std::stoul(get_or(flags, "adapt-history", "4"));
-    // Rollback-suite fault hook: corrupt the Nth published round's weights.
-    acfg.poison_round =
-        std::stoull(get_or(flags, "adapt-poison-round", "0"));
-    acfg.poison_scale = std::stod(get_or(flags, "adapt-poison-scale", "8"));
+  if (adapt_on) {
     acfg.metrics = rig.registry.get();
     std::optional<nn::AdamState> warm;
     if (const auto it = flags.find("adam-state"); it != flags.end()) {
@@ -613,13 +631,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     adapter = std::make_unique<adapt::OnlineTrainer>(
         *detector, acfg, warm ? &*warm : nullptr);
     cfg.engine.adapter = adapter.get();
-    cfg.engine.adapt_interval =
-        std::stoul(get_or(flags, "adapt-interval", "512"));
+    cfg.engine.adapt_interval = adapt_interval;
     // Auto-rollback (DESIGN.md §12): score each swap's first N packages
     // against the N before it; roll back on an alarm-rate spike.
-    cfg.engine.rollback_window =
-        std::stoul(get_or(flags, "rollback-window", "0"));
-    cfg.engine.rollback_ratio = std::stod(get_or(flags, "rollback-ratio", "4"));
+    cfg.engine.rollback_window = rollback_window;
+    cfg.engine.rollback_ratio = rollback_ratio;
   }
 
   serve::ShardedEngine engine(*detector, sink, cfg);
@@ -730,16 +746,15 @@ void tap_send(int fd, std::span<const std::uint8_t> bytes) {
 int cmd_tap(const std::map<std::string, std::string>& flags) {
   const std::string host = get_or(flags, "host", "127.0.0.1");
   const auto port = checked_uint<std::uint16_t>("port", need(flags, "port"));
-  const auto token =
-      static_cast<std::uint32_t>(std::stoul(get_or(flags, "token", "0")));
-  const std::size_t resend = std::stoul(get_or(flags, "resend", "8"));
+  const auto token = uint_flag<std::uint32_t>(flags, "token", "0");
+  const auto resend = uint_flag<std::size_t>(flags, "resend", "8");
   // Smoke-driver knobs: --limit streams only the first N records, --no-fin
   // leaves the stream open-ended — the listener sees a tap that went silent
   // (straggler), not a clean end — and --pace-us spaces the records out so
   // wall-clock park/close windows have real time to elapse against.
-  const std::size_t limit = std::stoul(get_or(flags, "limit", "0"));
+  const auto limit = uint_flag<std::size_t>(flags, "limit", "0");
   const bool send_fin = flags.count("no-fin") == 0;
-  const auto pace_us = std::stoul(get_or(flags, "pace-us", "0"));
+  const auto pace_us = uint_flag<std::uint32_t>(flags, "pace-us", "0");
   ingest::FaultSpec spec;
   if (const auto it = flags.find("fault-spec"); it != flags.end()) {
     spec = ingest::FaultSpec::parse(it->second);
@@ -798,15 +813,14 @@ int cmd_tap(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_sigdb_build(const std::map<std::string, std::string>& flags) {
+  sig::SigDbWriteOptions opts;
+  if (const auto it = flags.find("shard-bits"); it != flags.end()) {
+    opts.shard_bits = checked_uint<std::uint32_t>("shard-bits", it->second);
+  }
+  opts.prefilter_fpr = real_flag(flags, "prefilter-fpr", "0.01");
   const auto detector = detect::load_framework_file(need(flags, "model"));
   const std::string out = need(flags, "out");
   const detect::PackageLevelDetector& pkg = detector->package_level();
-
-  sig::SigDbWriteOptions opts;
-  if (const auto it = flags.find("shard-bits"); it != flags.end()) {
-    opts.shard_bits = static_cast<std::uint32_t>(std::stoul(it->second));
-  }
-  opts.prefilter_fpr = std::stod(get_or(flags, "prefilter-fpr", "0.01"));
   // Embed the trained verdict filter verbatim — the bit-identical-verdicts
   // contract (DESIGN.md §13) hinges on this, not on a rebuilt filter.
   opts.bloom = &pkg.bloom();
