@@ -9,6 +9,7 @@
 #include "detect/package_detector.hpp"
 #include "detect/timeseries_detector.hpp"
 #include "ics/dataset.hpp"
+#include "nn/softmax.hpp"
 
 int main() {
   using namespace mlad;
@@ -60,10 +61,12 @@ int main() {
       if (i) dims += "x";
       dims += std::to_string(shape[i]);
     }
+    // One validation pass: err_k for k = 1..max_k, and the choice rule.
+    const std::vector<double> val = detector.top_k_error_curve(val_disc,
+                                                               cfg.max_k);
     table.add_row({dims, std::to_string(detector.model().param_count()),
-                   fixed(seconds, 1), fixed(detector.top_k_error(val_disc, 1), 4),
-                   fixed(detector.top_k_error(val_disc, 4), 4),
-                   std::to_string(detector.choose_k(val_disc))});
+                   fixed(seconds, 1), fixed(val[0], 4), fixed(val[3], 4),
+                   std::to_string(nn::smallest_k_below(val, cfg.theta))});
   }
   std::printf("%s", table.str().c_str());
   return 0;

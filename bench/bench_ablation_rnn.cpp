@@ -4,6 +4,7 @@
 // advantage on the actual gas-pipeline workload at matched parameter
 // budgets and identical training loops.
 #include <cstdio>
+#include <type_traits>
 
 #include "bench_common.hpp"
 #include "common/stopwatch.hpp"
@@ -18,22 +19,35 @@ namespace {
 
 using namespace mlad;
 
+/// One encoded fragment: the LSTM reads code rows (nn::CodeRow), the RNN
+/// dense one-hot rows (std::vector<float>).
+template <typename Row>
+struct Encoded {
+  std::vector<Row> inputs;
+  std::vector<std::size_t> targets;
+  std::size_t steps() const { return inputs.size(); }
+};
+
 /// Encode fragments for next-signature prediction (inputs one-hot + zeroed
 /// noisy bit; targets = next package's dense signature id).
-std::vector<nn::Fragment> encode(
+template <typename Row>
+std::vector<Encoded<Row>> encode(
     const std::vector<detect::DiscreteFragment>& fragments,
     const sig::SignatureDatabase& db,
     std::span<const std::size_t> cardinalities) {
-  std::vector<nn::Fragment> out;
+  std::vector<Encoded<Row>> out;
   for (const auto& frag : fragments) {
     if (frag.size() < 2) continue;
-    nn::Fragment f;
-    std::vector<float> x;
+    Encoded<Row> f;
     for (std::size_t t = 0; t + 1 < frag.size(); ++t) {
       const auto id = db.id_of(frag[t + 1]);
       if (!id) continue;  // validation rows outside the database
-      sig::one_hot_encode(frag[t], cardinalities, 1, x);
-      f.inputs.push_back(x);
+      if constexpr (std::is_same_v<Row, nn::CodeRow>) {
+        sig::append_one_hot_codes(frag[t], cardinalities, false,
+                                  f.inputs.emplace_back());
+      } else {
+        sig::one_hot_encode(frag[t], cardinalities, 1, f.inputs.emplace_back());
+      }
       f.targets.push_back(*id);
     }
     if (f.steps() > 0) out.push_back(std::move(f));
@@ -41,8 +55,8 @@ std::vector<nn::Fragment> encode(
   return out;
 }
 
-template <typename Model>
-double sweep_top_k(const Model& model, const std::vector<nn::Fragment>& frags,
+template <typename Model, typename Row>
+double sweep_top_k(const Model& model, const std::vector<Encoded<Row>>& frags,
                    std::size_t k) {
   std::size_t misses = 0;
   std::size_t total = 0;
@@ -53,8 +67,8 @@ double sweep_top_k(const Model& model, const std::vector<nn::Fragment>& frags,
   return total ? static_cast<double>(misses) / static_cast<double>(total) : 0.0;
 }
 
-template <typename Model>
-double train_loop(Model& model, const std::vector<nn::Fragment>& frags,
+template <typename Model, typename Row>
+double train_loop(Model& model, const std::vector<Encoded<Row>>& frags,
                   std::size_t epochs, Rng& rng) {
   nn::Adam opt(3e-3);
   const auto slots = model.param_slots();
@@ -104,9 +118,8 @@ int main() {
     }
     return out;
   };
-  const auto train_enc =
-      encode(discretize(train_rows), package.database(), cards);
-  const auto val_enc = encode(discretize(val_rows), package.database(), cards);
+  const auto train_disc = discretize(train_rows);
+  const auto val_disc = discretize(val_rows);
 
   std::size_t input_dim = 1;
   for (std::size_t c : cards) input_dim += c;
@@ -114,7 +127,8 @@ int main() {
 
   TablePrinter table({"model", "params", "train s", "val err k=1",
                       "val err k=4", "val err k=8"});
-  auto report = [&](const char* name, auto& model, double seconds) {
+  auto report = [&](const char* name, auto& model, double seconds,
+                    const auto& val_enc) {
     table.add_row({name, std::to_string(model.param_count()), fixed(seconds, 1),
                    fixed(sweep_top_k(model, val_enc, 1), 4),
                    fixed(sweep_top_k(model, val_enc, 4), 4),
@@ -129,8 +143,11 @@ int main() {
     nn::SequenceModel lstm(cfg);
     Rng rng(11);
     lstm.init_params(rng);
+    const auto train_enc =
+        encode<nn::CodeRow>(train_disc, package.database(), cards);
     const double seconds = train_loop(lstm, train_enc, scale.epochs, rng);
-    report("LSTM", lstm, seconds);
+    report("LSTM", lstm, seconds,
+           encode<nn::CodeRow>(val_disc, package.database(), cards));
   }
   {
     // Matched parameter budget: an Elman cell has ~1/4 the parameters of an
@@ -141,8 +158,11 @@ int main() {
     nn::RnnClassifier rnn(input_dim, classes, hidden);
     Rng rng(11);
     rnn.init_params(rng);
+    const auto train_enc =
+        encode<std::vector<float>>(train_disc, package.database(), cards);
     const double seconds = train_loop(rnn, train_enc, scale.epochs, rng);
-    report("RNN (2x width)", rnn, seconds);
+    report("RNN (2x width)", rnn, seconds,
+           encode<std::vector<float>>(val_disc, package.database(), cards));
   }
   std::printf("%s", table.str().c_str());
   std::printf("\n(the paper's premise: LSTM memory cells beat traditional "

@@ -10,6 +10,7 @@
 #include "detect/package_detector.hpp"
 #include "detect/timeseries_detector.hpp"
 #include "ics/dataset.hpp"
+#include "nn/softmax.hpp"
 
 int main() {
   using namespace mlad;
@@ -71,11 +72,11 @@ int main() {
     Stopwatch sw;
     detector.train(train_disc, rng);
     v.seconds = sw.elapsed_seconds();
-    for (std::size_t k = 1; k <= max_k; ++k) {
-      v.train_curve.push_back(detector.top_k_error(train_disc, k));
-      v.val_curve.push_back(detector.top_k_error(val_disc, k));
-    }
-    v.chosen_k = detector.choose_k(val_disc);
+    // One pass per set gives err_k for every k; the choice rule reads the
+    // validation curve (TimeSeriesDetector::choose_k's rule).
+    v.train_curve = detector.top_k_error_curve(train_disc, max_k);
+    v.val_curve = detector.top_k_error_curve(val_disc, max_k);
+    v.chosen_k = nn::smallest_k_below(v.val_curve, theta);
   }
 
   TablePrinter table({"k", "train err (noise)", "val err (noise)",

@@ -202,9 +202,7 @@ nn::Fragment consolidation_fragment(std::size_t classes, std::size_t steps,
                                     std::size_t phase) {
   nn::Fragment f;
   for (std::size_t t = 0; t < steps; ++t) {
-    std::vector<float> x(classes, 0.0f);
-    x[(t + phase) % classes] = 1.0f;
-    f.inputs.push_back(std::move(x));
+    f.inputs.push_back({static_cast<std::uint32_t>((t + phase) % classes)});
     f.targets.push_back((t + phase + 1) % classes);
   }
   return f;

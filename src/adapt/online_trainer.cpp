@@ -133,15 +133,14 @@ bool OnlineTrainer::rollback_to(std::uint64_t version) {
 
 nn::Fragment OnlineTrainer::encode_window(const Message& msg) const {
   // Same encoding the engine feeds the serving LSTM for clean packages:
-  // one-hot of c(t) with the trailing noisy bit left 0 (every package in a
+  // the codes of c(t) with the noisy bit clear (every package in a
   // harvested window was judged normal), target = the next signature id.
   nn::Fragment frag;
   frag.inputs.reserve(msg.rows.size() - 1);
   frag.targets.reserve(msg.rows.size() - 1);
-  std::vector<float> x;
   for (std::size_t t = 0; t + 1 < msg.rows.size(); ++t) {
-    sig::one_hot_encode(msg.rows[t], cardinalities_, /*extra_bits=*/1, x);
-    frag.inputs.push_back(x);
+    sig::append_one_hot_codes(msg.rows[t], cardinalities_,
+                              /*extra_bit=*/false, frag.inputs.emplace_back());
     frag.targets.push_back(msg.signatures[t + 1]);
   }
   return frag;

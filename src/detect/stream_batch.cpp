@@ -34,13 +34,9 @@ void StreamBatch::step(std::span<const std::span<const double>> rows,
   const std::size_t C = model.num_classes();
 
   // Package level + verdict per stream (Fig. 3 flow, as in
-  // classify_and_consume), then gather the one-hot encodings — noisy bit =
-  // the verdict — into one (n×input_dim) matrix. Every row [0, n) is fully
-  // overwritten below, so the matrix is only reshaped (resize zero-fills)
-  // when the active stream count actually changed.
-  if (x_.rows() != n || x_.cols() != model.input_dim()) {
-    x_.resize(n, model.input_dim());
-  }
+  // classify_and_consume), then gather the layer-0 codes — noisy bit = the
+  // verdict — into one code matrix of n rows.
+  x_.clear(model.input_dim());
   // The signature checks for the whole tick run as ONE batched membership +
   // id-lookup pass (classify_batch: kernel-dispatched Eytzinger walk when a
   // .sigdb view is attached, batched map/Bloom probes otherwise) — verdicts
@@ -64,11 +60,9 @@ void StreamBatch::step(std::span<const std::span<const double>> rows,
       v.timeseries_level = ts.is_anomalous(predicted, pv.signature_id, k);
       v.anomaly = v.timeseries_level;
     }
-    sig::one_hot_encode(pv.discrete, ts.cardinalities(), /*extra_bits=*/1,
-                        encode_scratch_);
-    if (v.anomaly) encode_scratch_.back() = 1.0f;
-    std::copy(encode_scratch_.begin(), encode_scratch_.end(),
-              x_.data() + s * x_.cols());
+    sig::append_one_hot_codes(pv.discrete, ts.cardinalities(), v.anomaly,
+                              x_.open_row());
+    x_.close_row();
     if (packages != nullptr) (*packages)[s] = std::move(pv);
   }
 

@@ -1,8 +1,8 @@
 // Batched multi-stream inference stepping (DESIGN.md §4, ROADMAP
 // "kernel-level batching for inference"): advance S concurrent
 // CombinedDetector streams one package-tick at a time through a single
-// (S×dim) LSTM step per layer — gather the per-stream one-hot encodings into
-// one matrix, run one batched matmul+gates pass per layer, scatter the
+// (S×dim) LSTM step per layer — gather the per-stream layer-0 codes into one
+// code matrix, run one batched matmul+gates pass per layer, scatter the
 // refreshed predictions back to the streams.
 //
 // Per-stream semantics mirror CombinedDetector::classify_and_consume
@@ -92,8 +92,7 @@ class StreamBatch {
   const CombinedDetector* detector_;
   ThreadPool* pool_;
   nn::SequenceModel::BatchState state_;
-  nn::Matrix x_;                       ///< active×input_dim gathered inputs
-  std::vector<float> encode_scratch_;  ///< one row's one-hot encoding
+  nn::CodeMatrix x_;                   ///< one layer-0 code row per stream
   std::vector<PackageVerdict> pkg_verdicts_;          ///< per-tick results
   PackageLevelDetector::BatchScratch pkg_scratch_;    ///< batched lookups
   std::vector<char> has_prediction_;   ///< per stream, false before tick 1

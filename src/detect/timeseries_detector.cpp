@@ -33,6 +33,11 @@ TimeSeriesDetector::TimeSeriesDetector(const sig::SignatureDatabase& db,
       cardinalities_(std::move(cardinalities)),
       config_(config),
       model_(model_config(db, cardinalities_, config)) {
+  if (config_.max_k == 0) {
+    throw std::invalid_argument(
+        "TimeSeriesDetector: max_k must be at least 1 (k = 0 flags every "
+        "package)");
+  }
   model_.init_params(rng);
 }
 
@@ -43,8 +48,8 @@ TimeSeriesDetector::TimeSeriesDetector(const sig::SignatureDatabase& db,
     : db_(&db),
       cardinalities_(std::move(cardinalities)),
       config_(config),
-      model_(std::move(model)),
-      k_(k) {
+      model_(std::move(model)) {
+  set_k(k);
   std::size_t one_hot = 1;  // the noisy bit
   for (std::size_t c : cardinalities_) one_hot += c;
   if (model_.input_dim() != one_hot || model_.num_classes() != db.size()) {
@@ -60,7 +65,6 @@ nn::Fragment TimeSeriesDetector::encode_fragment(const DiscreteFragment& frag,
   if (frag.size() < 2) return out;
   out.inputs.reserve(frag.size() - 1);
   out.targets.reserve(frag.size() - 1);
-  std::vector<float> x;
   for (std::size_t t = 0; t + 1 < frag.size(); ++t) {
     // Target: the TRUE signature of the next package (never corrupted).
     const auto id = db_->id_of(frag[t + 1]);
@@ -80,19 +84,17 @@ nn::Fragment TimeSeriesDetector::encode_fragment(const DiscreteFragment& frag,
 
     if (insert) {
       // Insertion mode: the clean package first (phase advances as usual)…
-      sig::one_hot_encode(frag[t], cardinalities_, /*extra_bits=*/1, x);
-      out.inputs.push_back(x);
+      sig::append_one_hot_codes(frag[t], cardinalities_, /*extra_bit=*/false,
+                                out.inputs.emplace_back());
       out.targets.push_back(*id);
       // …then the noisy extra packet, after which the SAME real signature
       // is still due — exactly an injected packet's effect on the stream.
-      sig::one_hot_encode(row, cardinalities_, /*extra_bits=*/1, x);
-      x.back() = 1.0f;
-      out.inputs.push_back(x);
+      sig::append_one_hot_codes(row, cardinalities_, /*extra_bit=*/true,
+                                out.inputs.emplace_back());
       out.targets.push_back(*id);
     } else {
-      sig::one_hot_encode(row, cardinalities_, /*extra_bits=*/1, x);
-      if (noisy) x.back() = 1.0f;
-      out.inputs.push_back(x);
+      sig::append_one_hot_codes(row, cardinalities_, noisy,
+                                out.inputs.emplace_back());
       out.targets.push_back(*id);
     }
   }
@@ -104,7 +106,19 @@ void TimeSeriesDetector::set_train_config(const TimeSeriesConfig& config) {
     throw std::invalid_argument(
         "set_train_config: hidden_dims cannot change on a built model");
   }
+  if (config.max_k == 0) {
+    throw std::invalid_argument("set_train_config: max_k must be at least 1");
+  }
   config_ = config;
+}
+
+void TimeSeriesDetector::set_k(std::size_t k) {
+  if (k == 0) {
+    throw std::invalid_argument(
+        "TimeSeriesDetector: k must be at least 1 (k = 0 flags every "
+        "package)");
+  }
+  k_ = k;
 }
 
 std::vector<double> TimeSeriesDetector::train(
@@ -355,39 +369,43 @@ std::vector<double> TimeSeriesDetector::train_sharded(
   return epoch_losses;
 }
 
-double TimeSeriesDetector::top_k_error(
-    std::span<const DiscreteFragment> fragments, std::size_t k) const {
+nn::TopKErrorCurve TimeSeriesDetector::rank_pass(
+    std::span<const DiscreteFragment> fragments, std::size_t max_k) const {
   // Streamed evaluation rather than encode_fragment: validation fragments
   // may legitimately contain signatures absent from the training database
   // (that's exactly the package-level validation error); such targets can
-  // never be inside S(k), so they count as guaranteed misses.
-  std::size_t misses = 0;
-  std::size_t total = 0;
-  std::vector<float> x;
+  // never be inside S(k), so they count as misses at every k.
+  nn::TopKErrorCurve curve(max_k);
+  nn::CodeRow codes;
   std::vector<float> probs;
   for (const DiscreteFragment& df : fragments) {
     if (df.size() < 2) continue;
     nn::SequenceModel::State state = model_.make_state();
     for (std::size_t t = 0; t + 1 < df.size(); ++t) {
-      sig::one_hot_encode(df[t], cardinalities_, /*extra_bits=*/1, x);
-      model_.predict(state, x, probs);
-      const auto id = db_->id_of(df[t + 1]);
-      if (!id || !nn::in_top_k(probs, *id, k)) ++misses;
-      ++total;
+      codes.clear();
+      sig::append_one_hot_codes(df[t], cardinalities_, /*extra_bit=*/false,
+                                codes);
+      model_.predict(state, codes, probs);
+      curve.add(probs, db_->id_of(df[t + 1]));
     }
   }
-  return total ? static_cast<double>(misses) / static_cast<double>(total) : 0.0;
+  return curve;
+}
+
+std::vector<double> TimeSeriesDetector::top_k_error_curve(
+    std::span<const DiscreteFragment> fragments, std::size_t max_k) const {
+  return rank_pass(fragments, max_k).errors();
+}
+
+double TimeSeriesDetector::top_k_error(
+    std::span<const DiscreteFragment> fragments, std::size_t k) const {
+  return rank_pass(fragments, k).error(k);
 }
 
 std::size_t TimeSeriesDetector::choose_k(
     std::span<const DiscreteFragment> validation) {
-  for (std::size_t k = 1; k <= config_.max_k; ++k) {
-    if (top_k_error(validation, k) < config_.theta) {
-      k_ = k;
-      return k_;
-    }
-  }
-  k_ = config_.max_k;
+  set_k(nn::smallest_k_below(top_k_error_curve(validation, config_.max_k),
+                             config_.theta));
   return k_;
 }
 
@@ -425,12 +443,12 @@ bool TimeSeriesDetector::is_anomalous(std::span<const float> predicted,
 
 void TimeSeriesDetector::consume(Stream& stream, const sig::DiscreteRow& row,
                                  bool flagged_anomalous) const {
-  // The one-hot buffer lives in the stream so the per-package hot path is
+  // The code row lives in the stream so the per-package hot path is
   // allocation-free once the stream has warmed up.
-  std::vector<float>& x = stream.encode_scratch;
-  sig::one_hot_encode(row, cardinalities_, /*extra_bits=*/1, x);
-  if (flagged_anomalous) x.back() = 1.0f;
-  model_.predict(stream.model_state, x, stream.predicted);
+  stream.codes.clear();
+  sig::append_one_hot_codes(row, cardinalities_, flagged_anomalous,
+                            stream.codes);
+  model_.predict(stream.model_state, stream.codes, stream.predicted);
   stream.has_prediction = true;
 }
 

@@ -56,17 +56,20 @@ struct TimeSeriesConfig {
   std::size_t threads = 1;             ///< 0 = hardware concurrency
   NoiseConfig noise;                   ///< §V-A-3 augmentation
   double theta = 0.05;                 ///< acceptable FPR for choosing k
-  std::size_t max_k = 10;              ///< search bound for k
+  std::size_t max_k = 10;              ///< search bound for k (≥ 1)
 };
 
 class TimeSeriesDetector {
  public:
   /// `db` must outlive the detector (owned by the enclosing framework).
+  /// Throws std::invalid_argument when config.max_k is 0: S(0) is empty,
+  /// so k = 0 would flag every package that has history.
   TimeSeriesDetector(const sig::SignatureDatabase& db,
                      std::vector<std::size_t> cardinalities,
                      const TimeSeriesConfig& config, Rng& rng);
 
   /// Reassemble around an already-trained model (deserialization path).
+  /// Throws std::invalid_argument when k is 0 (e.g. a model file's k field).
   TimeSeriesDetector(const sig::SignatureDatabase& db,
                      std::vector<std::size_t> cardinalities,
                      const TimeSeriesConfig& config, nn::SequenceModel model,
@@ -108,18 +111,27 @@ class TimeSeriesDetector {
 
   /// Replace the training hyper-parameters (epochs, batch, noise, …) for
   /// subsequent train() calls — the offline-resume path, where the detector
-  /// was deserialized with defaults. hidden_dims must match the model.
+  /// was deserialized with defaults. hidden_dims must match the model, and
+  /// max_k must be at least 1.
   void set_train_config(const TimeSeriesConfig& config);
 
-  /// Paper §V-B top-k error on (anomaly-free) fragments.
+  /// Paper §V-B top-k error on (anomaly-free) fragments, for every
+  /// k = 1..max_k (index k-1), from one streamed pass (nn::TopKErrorCurve).
+  /// A target signature missing from the database is a miss at every k.
+  std::vector<double> top_k_error_curve(
+      std::span<const DiscreteFragment> fragments, std::size_t max_k) const;
+
+  /// err_k alone, from the same single pass.
   double top_k_error(std::span<const DiscreteFragment> fragments,
                      std::size_t k) const;
 
-  /// Choose and store the minimal k with err_k < θ on validation data.
+  /// Choose and store the minimal k with err_k < θ on validation data
+  /// (config().max_k when none qualifies), from one pass.
   std::size_t choose_k(std::span<const DiscreteFragment> validation);
 
   std::size_t k() const { return k_; }
-  void set_k(std::size_t k) { k_ = k; }
+  /// Throws std::invalid_argument for k = 0.
+  void set_k(std::size_t k);
 
   // ---- Streaming detection --------------------------------------------
 
@@ -128,7 +140,7 @@ class TimeSeriesDetector {
     nn::SequenceModel::State model_state;
     std::vector<float> predicted;  ///< Pr(s | history) for the NEXT package
     bool has_prediction = false;   ///< false until the first package is seen
-    std::vector<float> encode_scratch;  ///< reused one-hot buffer (consume)
+    nn::CodeRow codes;             ///< reused layer-0 code row (consume)
   };
 
   Stream make_stream() const;
@@ -157,8 +169,8 @@ class TimeSeriesDetector {
                     std::optional<std::size_t> signature_id,
                     std::size_t k) const;
 
-  /// Feed the package into the history (one-hot of c(t) plus the noisy bit
-  /// = `flagged_anomalous`, §V-A-3 detection-phase rule) and refresh the
+  /// Feed the package into the history (the codes of c(t) plus the noisy
+  /// bit = `flagged_anomalous`, §V-A-3 detection-phase rule) and refresh the
   /// prediction for the next package.
   void consume(Stream& stream, const sig::DiscreteRow& row,
                bool flagged_anomalous) const;
@@ -166,7 +178,7 @@ class TimeSeriesDetector {
   const nn::SequenceModel& model() const { return model_; }
   nn::SequenceModel& model() { return model_; }
   /// Per-feature cardinalities of the discretized schema (the one-hot
-  /// layout); the batched multi-stream stepper encodes against these.
+  /// layout); the batched multi-stream stepper encodes codes against these.
   const std::vector<std::size_t>& cardinalities() const {
     return cardinalities_;
   }
@@ -177,6 +189,9 @@ class TimeSeriesDetector {
   /// Encode a fragment into training inputs/targets, optionally noisy.
   nn::Fragment encode_fragment(const DiscreteFragment& frag, bool with_noise,
                                Rng* rng) const;
+  /// One streamed pass recording every validation step's rank.
+  nn::TopKErrorCurve rank_pass(std::span<const DiscreteFragment> fragments,
+                               std::size_t max_k) const;
 
   const sig::SignatureDatabase* db_;
   std::vector<std::size_t> cardinalities_;

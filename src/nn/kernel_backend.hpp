@@ -38,6 +38,23 @@ struct KernelBackend {
                          std::size_t K, std::size_t M, std::size_t N,
                          std::size_t rb, std::size_t re);
 
+  /// out rows [rb,re) += x·b for code rows x (nn/codes.hpp): row r's active
+  /// columns are index[offset[r] .. offset[r+1]), strictly ascending, each
+  /// of value 1; b is K×N. Layer 0's input product. Must equal
+  /// matmul_nn_rows on the dense one-hot x bit for bit (DESIGN.md §5).
+  void (*gather_rows)(const std::uint32_t* index, const std::uint32_t* offset,
+                      const float* b, float* out, std::size_t K,
+                      std::size_t N, std::size_t rb, std::size_t re);
+
+  /// out rows [rb,re) += xᵀ·a for B such code rows x over K columns (a:
+  /// B×M, out: K×M) — layer 0's weight gradient, kept transposed so each
+  /// active column's update is one contiguous row. Must equal the transpose
+  /// of matmul_tn_rows(a, dense x) bit for bit.
+  void (*scatter_rows)(const float* a, const std::uint32_t* index,
+                       const std::uint32_t* offset, std::size_t B,
+                       std::size_t K, std::size_t M, float* out,
+                       std::size_t rb, std::size_t re);
+
   /// Fused LSTM gate activations + cell update over rows [rb,re). `a` is the
   /// B×4H pre-activation block in gate order [i,f,o,g]; all other buffers
   /// are B×H.

@@ -165,6 +165,36 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out,
   });
 }
 
+void gather_acc(const CodeMatrix& x, const Matrix& b, Matrix& out,
+                ThreadPool* pool) {
+  if (x.cols() != b.rows()) {
+    throw std::invalid_argument("gather_acc: inner dim mismatch");
+  }
+  if (out.rows() != x.rows() || out.cols() != b.cols()) {
+    throw std::invalid_argument("gather_acc: output shape mismatch");
+  }
+  const KernelBackend& be = kernel_backend();
+  for_row_blocks(x.rows(), pool, [&](std::size_t rb, std::size_t re) {
+    be.gather_rows(x.index(), x.offset(), b.data(), out.data(), b.rows(),
+                   b.cols(), rb, re);
+  });
+}
+
+void scatter_acc(const Matrix& a, const CodeMatrix& x, Matrix& outT,
+                 ThreadPool* pool) {
+  if (a.rows() != x.rows()) {
+    throw std::invalid_argument("scatter_acc: batch dim mismatch");
+  }
+  if (outT.rows() != x.cols() || outT.cols() != a.cols()) {
+    throw std::invalid_argument("scatter_acc: output shape mismatch");
+  }
+  const KernelBackend& be = kernel_backend();
+  for_row_blocks(outT.rows(), pool, [&](std::size_t rb, std::size_t re) {
+    be.scatter_rows(a.data(), x.index(), x.offset(), a.rows(), x.cols(),
+                    a.cols(), outT.data(), rb, re);
+  });
+}
+
 namespace {
 
 // Process-wide transpose() counters (kernels.hpp TransposeStats). Relaxed is

@@ -26,6 +26,7 @@
 #include <span>
 
 #include "common/thread_pool.hpp"
+#include "nn/codes.hpp"
 #include "nn/matrix.hpp"
 
 namespace mlad::nn {
@@ -42,6 +43,18 @@ void matmul_nn_acc(const Matrix& a, const Matrix& b, Matrix& out,
 /// product (grad_W += dAᵀ · X).
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& out,
                    ThreadPool* pool = nullptr);
+
+/// out += x·b for code rows x (nn/codes.hpp; x.cols() == b.rows(), out:
+/// x.rows()×b.cols()) — a gather-sum of the active rows of b, layer 0's
+/// input product. Bit for bit matmul_nn_acc on the dense one-hot x.
+void gather_acc(const CodeMatrix& x, const Matrix& b, Matrix& out,
+                ThreadPool* pool = nullptr);
+
+/// outT += xᵀ·a (a: x.rows()×M, outT: x.cols()×M) — a scatter-add of a's
+/// rows into the active columns: layer 0's weight gradient, transposed.
+/// Bit for bit the transpose of matmul_tn_acc(a, dense x, out).
+void scatter_acc(const Matrix& a, const CodeMatrix& x, Matrix& outT,
+                 ThreadPool* pool = nullptr);
 
 /// out = aᵀ (resized). Used to cache transposed weights once per minibatch.
 void transpose(const Matrix& a, Matrix& out);

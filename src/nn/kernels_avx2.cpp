@@ -133,6 +133,7 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 
 constexpr KernelBackend kAvx2Backend = {
     "avx2", simd_nn_rows<Avx2>, simd_tn_rows<Avx2>,
+    simd_gather_rows, simd_scatter_rows,
     simd_gates_forward_rows<Avx2>, simd_gates_backward_rows<Avx2>,
     simd_softmax_rows<Avx2>, sigdb_lookup_rows_,
 };

@@ -137,6 +137,7 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 
 constexpr KernelBackend kAvx512Backend = {
     "avx512", simd_nn_rows<Avx512>, simd_tn_rows<Avx512>,
+    simd_gather_rows, simd_scatter_rows,
     simd_gates_forward_rows<Avx512>, simd_gates_backward_rows<Avx512>,
     simd_softmax_rows<Avx512>, sigdb_lookup_rows_,
 };

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "nn/kernels_codes.hpp"
 #include "nn/kernels_scalar_tail.hpp"
 #include "nn/sigdb_lookup_common.hpp"
 
@@ -155,6 +156,25 @@ void tn_rows(const float* a, const float* b, float* out, std::size_t K,
   }
 }
 
+// Layer-0 code kernels (kernels_codes.hpp). nn_rows' vector lanes are a
+// fused ascending-k chain, and layer 0's N = 4H is a multiple of 4, so the
+// gather is chained throughout. tn_rows' N % 4 column tail pairs its terms
+// like the scalar backend, so the scatter pairs from column K - K % 4 on.
+// (Not built here: no aarch64 compiler is available to this tree's CI.)
+
+void gather_rows(const std::uint32_t* index, const std::uint32_t* offset,
+                 const float* b, float* out, std::size_t, std::size_t N,
+                 std::size_t rb, std::size_t re) {
+  codes_gather_rows(index, offset, b, out, N, /*pair_below=*/0, rb, re);
+}
+
+void scatter_rows(const float* a, const std::uint32_t* index,
+                  const std::uint32_t* offset, std::size_t B, std::size_t K,
+                  std::size_t M, float* out, std::size_t rb, std::size_t re) {
+  codes_scatter_rows(a, index, offset, B, M, out, /*pair_from=*/K - K % 4, rb,
+                     re);
+}
+
 void gates_forward_rows(const float* a, const float* c_prev, float* i,
                         float* f, float* o, float* g, float* c, float* tanh_c,
                         float* h, std::size_t H, std::size_t rb,
@@ -293,7 +313,8 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kNeonBackend = {
-    "neon", nn_rows, tn_rows, gates_forward_rows, gates_backward_rows,
+    "neon",        nn_rows,            tn_rows,       gather_rows,
+    scatter_rows,  gates_forward_rows, gates_backward_rows,
     softmax_rows_, sigdb_lookup_rows_,
 };
 

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "nn/kernel_backend.hpp"
+#include "nn/kernels_codes.hpp"
 #include "nn/kernels_scalar_tail.hpp"
 #include "nn/sigdb_lookup_common.hpp"
 
@@ -18,8 +19,7 @@ namespace {
 /// out row. Per out element the summation order is a fixed function of K
 /// alone — blocks are anchored at k=0, never at a chunk boundary — so
 /// results are bit-identical for any row partition. All-zero k-blocks are
-/// skipped: one-hot encoded inputs make the layer-0 activations ~95% zeros,
-/// turning the forward matmul into a row gather.
+/// skipped; gather_rows is this loop over the blocks a code row touches.
 void nn_rows(const float* a, const float* b, float* out, std::size_t K,
              std::size_t N, std::size_t rb, std::size_t re) {
   const std::size_t K4 = K - K % 4;
@@ -84,6 +84,22 @@ void tn_rows(const float* a, const float* b, float* out, std::size_t K,
   }
 }
 
+/// The dense nn_rows restricted to the k-blocks that hold a code: paired
+/// below K4, one at a time in the K % 4 tail (kernels_codes.hpp).
+void gather_rows(const std::uint32_t* index, const std::uint32_t* offset,
+                 const float* b, float* out, std::size_t K, std::size_t N,
+                 std::size_t rb, std::size_t re) {
+  codes_gather_rows(index, offset, b, out, N, /*pair_below=*/K - K % 4, rb,
+                    re);
+}
+
+/// tn_rows pairs every column's terms over 4-row blocks of the batch.
+void scatter_rows(const float* a, const std::uint32_t* index,
+                  const std::uint32_t* offset, std::size_t B, std::size_t,
+                  std::size_t M, float* out, std::size_t rb, std::size_t re) {
+  codes_scatter_rows(a, index, offset, B, M, out, /*pair_from=*/0, rb, re);
+}
+
 void gates_forward_rows(const float* a, const float* c_prev, float* i,
                         float* f, float* o, float* g, float* c, float* tanh_c,
                         float* h, std::size_t H, std::size_t rb,
@@ -142,7 +158,8 @@ void sigdb_lookup_rows_(const std::uint64_t* nodes,
 }
 
 constexpr KernelBackend kScalarBackend = {
-    "scalar", nn_rows, tn_rows, gates_forward_rows, gates_backward_rows,
+    "scalar",      nn_rows,       tn_rows,           gather_rows,
+    scatter_rows,  gates_forward_rows, gates_backward_rows,
     softmax_rows_, sigdb_lookup_rows_,
 };
 

@@ -1,9 +1,10 @@
 // Shared body of the x86 SIMD kernel backends (DESIGN.md §7): the
 // polynomial exp/sigmoid/tanh, the register-blocked matmul micro-kernel,
-// the fused LSTM gate kernels and the row softmax, written once as
-// templates over a vector-ops struct `V`. kernels_avx2.cpp (8 lanes) and
-// kernels_avx512.cpp (16 lanes) each define their ops struct, include this
-// header and list the instantiations in their KernelBackend table.
+// the layer-0 code kernels, the fused LSTM gate kernels and the row
+// softmax, written once as templates over a vector-ops struct `V`.
+// kernels_avx2.cpp (8 lanes) and kernels_avx512.cpp (16 lanes) each define
+// their ops struct, include this header and list the instantiations in
+// their KernelBackend table.
 //
 // `V` provides:
 //   reg, W                       register type and lane count
@@ -34,7 +35,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
 
+#include "nn/kernels_codes.hpp"
 #include "nn/kernels_scalar_tail.hpp"
 
 namespace mlad::nn {
@@ -92,137 +96,128 @@ typename V::reg simd_tanh(typename V::reg x) {
 // Per-element accumulation discipline: ascending k, a FUSED multiply-add at
 // EVERY k (V::fma in the vector lanes, std::fmaf in scalar tails) — no
 // zero-skipping, unlike the scalar backend. Skips would have to fire
-// identically in the micro-block and leftover-row paths to keep
-// bit-identical thread invariance (fma(0, b, acc) is NOT a bitwise no-op
-// when acc is -0.0 or b is non-finite), and per-row predication in the
-// micro-kernel costs more on dense operands than the skip saves on the
-// small one-hot layer-0 products. With every k executed, an output
-// element's bit pattern is independent of which loop shape a partition
-// routed it through, so the §5 contract holds within each backend.
+// identically for every row count of the micro-kernel to keep bit-identical
+// thread invariance (fma(0, b, acc) is NOT a bitwise no-op when acc is -0.0
+// or b is non-finite), and per-row predication costs more on dense operands
+// than the skip saves. With every k executed, an output element's bit
+// pattern is independent of which row group a partition routed it through,
+// so the §5 contract holds within each backend. One-hot layer-0 inputs do
+// not come here at all: they take the code kernels (kernels_codes.hpp).
 
-template <class V>
-void fma1_row(const float* b_row, float aik, float* out_row, std::size_t N) {
-  const typename V::reg va = V::set1(aik);
-  std::size_t j = 0;
-  for (; j + V::W <= N; j += V::W) {
-    V::store(out_row + j, V::fma(va, V::load(b_row + j), V::load(out_row + j)));
-  }
-  for (; j < N; ++j) out_row[j] = std::fmaf(aik, b_row[j], out_row[j]);
-}
-
-/// Register-blocked micro-kernel: 4 output rows × a 2W-column tile, 8
-/// accumulator registers held across the whole K loop, so every loaded b
-/// row chunk is reused 4× (quarter the b traffic of the row-at-a-time
-/// kernel — the bandwidth this product is otherwise bound on). `a_at(k, r)`
-/// must return a(row r, k); row grouping never changes any element's
-/// k-summation order, so determinism is untouched.
-template <class V, typename AccessA>
-void micro4(const AccessA& a_at, const float* b, float* r0, float* r1,
-            float* r2, float* r3, std::size_t K, std::size_t N) {
+/// Register-blocked micro-kernel: R ∈ 1..4 output rows × a 2W-column tile,
+/// 2R accumulator registers held across the whole K loop, so every loaded b
+/// row chunk is reused R× (at R = 4, a quarter of the b traffic of a
+/// row-at-a-time kernel — the bandwidth this product is otherwise bound
+/// on). `a_at(k, r)` must return a(row r, k). The row count never changes
+/// any element's k-summation order, so a partition's B % 4 leftover rows
+/// compute the same bits as a full group, at register-blocked speed.
+template <class V, std::size_t R, typename AccessA>
+void micro_rows(const AccessA& a_at, const float* b, float* out,
+                std::size_t K, std::size_t N) {
   constexpr std::size_t W = V::W;
   std::size_t j = 0;
   for (; j + 2 * W <= N; j += 2 * W) {
-    typename V::reg acc00 = V::load(r0 + j);
-    typename V::reg acc01 = V::load(r0 + j + W);
-    typename V::reg acc10 = V::load(r1 + j);
-    typename V::reg acc11 = V::load(r1 + j + W);
-    typename V::reg acc20 = V::load(r2 + j);
-    typename V::reg acc21 = V::load(r2 + j + W);
-    typename V::reg acc30 = V::load(r3 + j);
-    typename V::reg acc31 = V::load(r3 + j + W);
+    typename V::reg acc0[R];
+    typename V::reg acc1[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      acc0[r] = V::load(out + r * N + j);
+      acc1[r] = V::load(out + r * N + j + W);
+    }
     for (std::size_t k = 0; k < K; ++k) {
       const typename V::reg vb0 = V::load(b + k * N + j);
       const typename V::reg vb1 = V::load(b + k * N + j + W);
-      acc00 = V::fma(V::set1(a_at(k, 0)), vb0, acc00);
-      acc01 = V::fma(V::set1(a_at(k, 0)), vb1, acc01);
-      acc10 = V::fma(V::set1(a_at(k, 1)), vb0, acc10);
-      acc11 = V::fma(V::set1(a_at(k, 1)), vb1, acc11);
-      acc20 = V::fma(V::set1(a_at(k, 2)), vb0, acc20);
-      acc21 = V::fma(V::set1(a_at(k, 2)), vb1, acc21);
-      acc30 = V::fma(V::set1(a_at(k, 3)), vb0, acc30);
-      acc31 = V::fma(V::set1(a_at(k, 3)), vb1, acc31);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc0[r] = V::fma(V::set1(a_at(k, r)), vb0, acc0[r]);
+        acc1[r] = V::fma(V::set1(a_at(k, r)), vb1, acc1[r]);
+      }
     }
-    V::store(r0 + j, acc00);
-    V::store(r0 + j + W, acc01);
-    V::store(r1 + j, acc10);
-    V::store(r1 + j + W, acc11);
-    V::store(r2 + j, acc20);
-    V::store(r2 + j + W, acc21);
-    V::store(r3 + j, acc30);
-    V::store(r3 + j + W, acc31);
+    for (std::size_t r = 0; r < R; ++r) {
+      V::store(out + r * N + j, acc0[r]);
+      V::store(out + r * N + j + W, acc1[r]);
+    }
   }
   for (; j + W <= N; j += W) {
-    typename V::reg acc0 = V::load(r0 + j);
-    typename V::reg acc1 = V::load(r1 + j);
-    typename V::reg acc2 = V::load(r2 + j);
-    typename V::reg acc3 = V::load(r3 + j);
+    typename V::reg acc[R];
+    for (std::size_t r = 0; r < R; ++r) acc[r] = V::load(out + r * N + j);
     for (std::size_t k = 0; k < K; ++k) {
       const typename V::reg vb = V::load(b + k * N + j);
-      acc0 = V::fma(V::set1(a_at(k, 0)), vb, acc0);
-      acc1 = V::fma(V::set1(a_at(k, 1)), vb, acc1);
-      acc2 = V::fma(V::set1(a_at(k, 2)), vb, acc2);
-      acc3 = V::fma(V::set1(a_at(k, 3)), vb, acc3);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r] = V::fma(V::set1(a_at(k, r)), vb, acc[r]);
+      }
     }
-    V::store(r0 + j, acc0);
-    V::store(r1 + j, acc1);
-    V::store(r2 + j, acc2);
-    V::store(r3 + j, acc3);
+    for (std::size_t r = 0; r < R; ++r) V::store(out + r * N + j, acc[r]);
   }
   if (j < N) {
-    float* rows[4] = {r0, r1, r2, r3};
     for (std::size_t k = 0; k < K; ++k) {
-      for (std::size_t r = 0; r < 4; ++r) {
+      for (std::size_t r = 0; r < R; ++r) {
         const float av = a_at(k, r);
+        float* row = out + r * N;
         for (std::size_t jj = j; jj < N; ++jj) {
-          rows[r][jj] = std::fmaf(av, b[k * N + jj], rows[r][jj]);
+          row[jj] = std::fmaf(av, b[k * N + jj], row[jj]);
         }
       }
     }
   }
 }
 
+/// Rows [rb, re) through micro_rows: groups of 4, then one group of the
+/// 1–3 leftover rows. `group(i, tag)` runs rows i.. with R = tag's value.
+template <std::size_t R>
+using Rows = std::integral_constant<std::size_t, R>;
+
+template <typename Group>
+void for_row_groups(std::size_t rb, std::size_t re, const Group& group) {
+  std::size_t i = rb;
+  for (; i + 4 <= re; i += 4) group(i, Rows<4>{});
+  switch (re - i) {
+    case 3: group(i, Rows<3>{}); break;
+    case 2: group(i, Rows<2>{}); break;
+    case 1: group(i, Rows<1>{}); break;
+    default: break;
+  }
+}
+
 template <class V>
 void simd_nn_rows(const float* a, const float* b, float* out, std::size_t K,
                   std::size_t N, std::size_t rb, std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
+  for_row_groups(rb, re, [&](std::size_t i, auto rows) {
     const float* a0 = a + i * K;
-    micro4<V>(
+    micro_rows<V, decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a0[r * K + k]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  // Row-at-a-time fallback for the < 4 leftover rows of a partition: the
-  // same ascending-k, every-k, fused discipline, so a row computes the same
-  // bits whether it lands here or in a micro4 group.
-  for (; i < re; ++i) {
-    for (std::size_t k = 0; k < K; ++k) {
-      fma1_row<V>(b + k * N, a[i * K + k], out + i * N, N);
-    }
-  }
+        out + i * N, K, N);
+  });
 }
 
 template <class V>
 void simd_tn_rows(const float* a, const float* b, float* out, std::size_t K,
                   std::size_t M, std::size_t N, std::size_t rb,
                   std::size_t re) {
-  std::size_t i = rb;
-  for (; i + 4 <= re; i += 4) {
-    // Out rows are columns of a: the four a-values of one k sit contiguously
-    // at a[k*M + i .. i+3].
+  for_row_groups(rb, re, [&](std::size_t i, auto rows) {
+    // Out rows are columns of a: the group's a-values of one k sit
+    // contiguously at a[k*M + i ..].
     const float* a_col = a + i;
-    micro4<V>(
+    micro_rows<V, decltype(rows)::value>(
         [&](std::size_t k, std::size_t r) { return a_col[k * M + r]; }, b,
-        out + i * N, out + (i + 1) * N, out + (i + 2) * N, out + (i + 3) * N,
-        K, N);
-  }
-  for (; i < re; ++i) {
-    float* out_row = out + i * N;
-    const float* a_col = a + i;
-    for (std::size_t k = 0; k < K; ++k) {
-      fma1_row<V>(b + k * N, a_col[k * M], out_row, N);
-    }
-  }
+        out + i * N, K, N);
+  });
+}
+
+// ---- layer-0 code kernels ---------------------------------------------------
+
+// The dense products above are a fused ascending-k chain in every lane and
+// tail, so the code kernels (kernels_codes.hpp) run chained throughout.
+
+void simd_gather_rows(const std::uint32_t* index, const std::uint32_t* offset,
+                      const float* b, float* out, std::size_t, std::size_t N,
+                      std::size_t rb, std::size_t re) {
+  codes_gather_rows(index, offset, b, out, N, /*pair_below=*/0, rb, re);
+}
+
+void simd_scatter_rows(const float* a, const std::uint32_t* index,
+                       const std::uint32_t* offset, std::size_t B,
+                       std::size_t K, std::size_t M, float* out,
+                       std::size_t rb, std::size_t re) {
+  codes_scatter_rows(a, index, offset, B, M, out, /*pair_from=*/K, rb, re);
 }
 
 // ---- fused gate kernels ----------------------------------------------------

@@ -45,8 +45,8 @@ void LstmCell::forward(std::span<const float> x, std::span<const float> h_prev,
       c_prev.size() != hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward: dim mismatch");
   }
-  const std::size_t h = hidden_dim_;
   cache.x.assign(x.begin(), x.end());
+  cache.codes.clear();
   cache.h_prev.assign(h_prev.begin(), h_prev.end());
   cache.c_prev.assign(c_prev.begin(), c_prev.end());
 
@@ -54,7 +54,40 @@ void LstmCell::forward(std::span<const float> x, std::span<const float> h_prev,
   std::vector<float> a(b_.row(0).begin(), b_.row(0).end());
   gemv_add(w_, x, a);
   gemv_add(u_, h_prev, a);
+  finish_forward(a, c_prev, cache);
+}
 
+void LstmCell::forward(std::span<const std::uint32_t> codes,
+                       std::span<const float> h_prev,
+                       std::span<const float> c_prev,
+                       LstmStepCache& cache) const {
+  check_codes(codes, input_dim_);
+  if (h_prev.size() != hidden_dim_ || c_prev.size() != hidden_dim_) {
+    throw std::invalid_argument("LstmCell::forward: dim mismatch");
+  }
+  cache.x.clear();
+  cache.codes.assign(codes.begin(), codes.end());
+  cache.h_prev.assign(h_prev.begin(), h_prev.end());
+  cache.c_prev.assign(c_prev.begin(), c_prev.end());
+
+  // W x over the active columns only: the same ascending sum gemv_add forms
+  // over every column, minus the zero terms, which add nothing to an
+  // accumulator that starts at +0.
+  std::vector<float> a(b_.row(0).begin(), b_.row(0).end());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const float* w_row = w_.data() + i * input_dim_;
+    float acc = 0.0f;
+    for (const std::uint32_t c : codes) acc += w_row[c];
+    a[i] += acc;
+  }
+  gemv_add(u_, h_prev, a);
+  finish_forward(a, c_prev, cache);
+}
+
+void LstmCell::finish_forward(std::span<const float> a,
+                              std::span<const float> c_prev,
+                              LstmStepCache& cache) const {
+  const std::size_t h = hidden_dim_;
   cache.i.resize(h);
   cache.f.resize(h);
   cache.o.resize(h);
@@ -73,16 +106,19 @@ void LstmCell::forward(std::span<const float> x, std::span<const float> h_prev,
   }
 }
 
-void LstmCell::backward(const LstmStepCache& cache, std::span<const float> dh,
-                        std::span<const float> dc_in, std::span<float> dx,
-                        std::span<float> dh_prev, std::span<float> dc_prev) {
+void LstmCell::backward_gates(const LstmStepCache& cache,
+                              std::span<const float> dh,
+                              std::span<const float> dc_in,
+                              std::vector<float>& da,
+                              std::span<float> dh_prev,
+                              std::span<float> dc_prev) {
   const std::size_t h = hidden_dim_;
-  if (dh.size() != h || dc_in.size() != h || dx.size() != input_dim_ ||
-      dh_prev.size() != h || dc_prev.size() != h) {
+  if (dh.size() != h || dc_in.size() != h || dh_prev.size() != h ||
+      dc_prev.size() != h) {
     throw std::invalid_argument("LstmCell::backward: dim mismatch");
   }
   // Gate pre-activation gradients, stacked [di, df, do, dg].
-  std::vector<float> da(4 * h);
+  da.resize(4 * h);
   for (std::size_t j = 0; j < h; ++j) {
     // h_t = o_t * tanh(c_t)
     const float do_out = dh[j] * cache.tanh_c[j];
@@ -101,24 +137,47 @@ void LstmCell::backward(const LstmStepCache& cache, std::span<const float> dh,
     da[3 * h + j] = dg_out * tanh_grad_from_output(cache.g[j]);
   }
 
-  // Parameter gradients: grad_W += da ⊗ x, grad_U += da ⊗ h_prev, grad_b += da.
-  outer_add(da, cache.x, grad_w_);
+  // grad_U += da ⊗ h_prev, grad_b += da, dh_prev = Uᵀ da.
   outer_add(da, cache.h_prev, grad_u_);
   for (std::size_t j = 0; j < 4 * h; ++j) grad_b_(0, j) += da[j];
-
-  // Input gradients: dx = Wᵀ da, dh_prev = Uᵀ da.
-  std::fill(dx.begin(), dx.end(), 0.0f);
   std::fill(dh_prev.begin(), dh_prev.end(), 0.0f);
-  gemv_transposed_add(w_, da, dx);
   gemv_transposed_add(u_, da, dh_prev);
 }
 
-void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
-                             const Matrix& uT, LstmBatchCache& cache,
-                             Matrix& a_scratch, ThreadPool* pool) const {
-  const std::size_t B = x.rows();
-  if (x.cols() != input_dim_ || cache.h_prev.rows() != B ||
-      cache.h_prev.cols() != hidden_dim_ || cache.c_prev.rows() != B ||
+void LstmCell::backward(const LstmStepCache& cache, std::span<const float> dh,
+                        std::span<const float> dc_in, std::span<float> dx,
+                        std::span<float> dh_prev, std::span<float> dc_prev) {
+  if (dx.size() != input_dim_) {
+    throw std::invalid_argument("LstmCell::backward: dim mismatch");
+  }
+  std::vector<float> da;
+  backward_gates(cache, dh, dc_in, da, dh_prev, dc_prev);
+  // grad_W += da ⊗ x, dx = Wᵀ da.
+  outer_add(da, cache.x, grad_w_);
+  std::fill(dx.begin(), dx.end(), 0.0f);
+  gemv_transposed_add(w_, da, dx);
+}
+
+void LstmCell::backward(const LstmStepCache& cache, std::span<const float> dh,
+                        std::span<const float> dc_in,
+                        std::span<float> dh_prev, std::span<float> dc_prev) {
+  std::vector<float> da;
+  backward_gates(cache, dh, dc_in, da, dh_prev, dc_prev);
+  // grad_W += da ⊗ x at the active columns: outer_add's terms elsewhere
+  // are da·0 and leave the (never −0) accumulators unchanged.
+  for (std::size_t i = 0; i < da.size(); ++i) {
+    const float gi = da[i];
+    if (gi == 0.0f) continue;
+    float* row = grad_w_.data() + i * input_dim_;
+    for (const std::uint32_t c : cache.codes) row[c] += gi;
+  }
+}
+
+void LstmCell::check_batch(std::size_t x_rows, std::size_t x_cols,
+                           const Matrix& wT, const Matrix& uT,
+                           const LstmBatchCache& cache) const {
+  if (x_cols != input_dim_ || cache.h_prev.rows() != x_rows ||
+      cache.h_prev.cols() != hidden_dim_ || cache.c_prev.rows() != x_rows ||
       cache.c_prev.cols() != hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward_batch: dim mismatch");
   }
@@ -126,9 +185,26 @@ void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
       uT.rows() != hidden_dim_ || uT.cols() != 4 * hidden_dim_) {
     throw std::invalid_argument("LstmCell::forward_batch: stale transposes");
   }
+}
+
+void LstmCell::forward_batch(const Matrix& x, const Matrix& wT,
+                             const Matrix& uT, LstmBatchCache& cache,
+                             Matrix& a_scratch, ThreadPool* pool) const {
+  check_batch(x.rows(), x.cols(), wT, uT, cache);
   // A = 1·bᵀ + X Wᵀ + H_prev Uᵀ, all four gates at once.
-  broadcast_rows(b_, B, a_scratch);
+  broadcast_rows(b_, x.rows(), a_scratch);
   matmul_nn_acc(x, wT, a_scratch, pool);
+  matmul_nn_acc(cache.h_prev, uT, a_scratch, pool);
+  lstm_gates_forward(a_scratch, cache.c_prev, cache.i, cache.f, cache.o,
+                     cache.g, cache.c, cache.tanh_c, cache.h, pool);
+}
+
+void LstmCell::forward_batch(const CodeMatrix& x, const Matrix& wT,
+                             const Matrix& uT, LstmBatchCache& cache,
+                             Matrix& a_scratch, ThreadPool* pool) const {
+  check_batch(x.rows(), x.cols(), wT, uT, cache);
+  broadcast_rows(b_, x.rows(), a_scratch);
+  gather_acc(x, wT, a_scratch, pool);
   matmul_nn_acc(cache.h_prev, uT, a_scratch, pool);
   lstm_gates_forward(a_scratch, cache.c_prev, cache.i, cache.f, cache.o,
                      cache.g, cache.c, cache.tanh_c, cache.h, pool);
@@ -155,6 +231,24 @@ void LstmCell::backward_batch(const Matrix& x, const LstmBatchCache& cache,
 
   // Input gradients: dX = dA W, dH_prev = dA U.
   matmul_nn(da_scratch, w_, dx, pool);
+  matmul_nn(da_scratch, u_, dh_prev, pool);
+}
+
+void LstmCell::backward_batch(const CodeMatrix& x, const LstmBatchCache& cache,
+                              const Matrix& dh, const Matrix& dc_in,
+                              Matrix& dh_prev, Matrix& dc_prev,
+                              Matrix& grad_wT, Matrix& grad_u, Matrix& grad_b,
+                              Matrix& da_scratch, ThreadPool* pool) const {
+  const std::size_t B = x.rows();
+  if (dh.rows() != B || dh.cols() != hidden_dim_ ||
+      cache.i.rows() != B) {
+    throw std::invalid_argument("LstmCell::backward_batch: dim mismatch");
+  }
+  lstm_gates_backward(cache.i, cache.f, cache.o, cache.g, cache.c_prev,
+                      cache.tanh_c, dh, dc_in, da_scratch, dc_prev, pool);
+  scatter_acc(da_scratch, x, grad_wT, pool);
+  matmul_tn_acc(da_scratch, cache.h_prev, grad_u, pool);
+  col_sum_acc(da_scratch, grad_b);
   matmul_nn(da_scratch, u_, dh_prev, pool);
 }
 

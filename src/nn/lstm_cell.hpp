@@ -13,18 +13,21 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/codes.hpp"
 #include "nn/matrix.hpp"
 
 namespace mlad::nn {
 
 /// Per-timestep activations cached by the forward pass for BPTT.
 struct LstmStepCache {
-  std::vector<float> x;       ///< input at this step (I)
+  std::vector<float> x;       ///< dense input at this step (I); empty for codes
+  CodeRow codes;              ///< layer 0's input codes; empty for dense
   std::vector<float> h_prev;  ///< hidden state entering the step (H)
   std::vector<float> c_prev;  ///< cell state entering the step (H)
   std::vector<float> i, f, o, g;  ///< gate activations (H each)
@@ -35,7 +38,7 @@ struct LstmStepCache {
 
 /// Batched analogue of LstmStepCache: one timestep of B sequences, each
 /// buffer a (B × dim) matrix. The input x is NOT copied here — the batched
-/// tape (lstm_layer.hpp) already owns the per-step input matrices.
+/// tape (lstm_layer.hpp) already references the per-step inputs.
 struct LstmBatchCache {
   Matrix h_prev;  ///< B×H state entering the step (filled by the caller)
   Matrix c_prev;  ///< B×H
@@ -61,6 +64,13 @@ class LstmCell {
   void forward(std::span<const float> x, std::span<const float> h_prev,
                std::span<const float> c_prev, LstmStepCache& cache) const;
 
+  /// Layer 0's timestep: the input is a code row (nn/codes.hpp), so W x is a
+  /// sum of W's active columns — bit for bit the dense step on the one-hot
+  /// row. The codes land in cache.codes.
+  void forward(std::span<const std::uint32_t> codes,
+               std::span<const float> h_prev, std::span<const float> c_prev,
+               LstmStepCache& cache) const;
+
   /// Back-propagate one timestep.
   ///
   /// `dh` is ∂L/∂h_t (including recurrent contribution), `dc_in` is the
@@ -69,6 +79,12 @@ class LstmCell {
   void backward(const LstmStepCache& cache, std::span<const float> dh,
                 std::span<const float> dc_in, std::span<float> dx,
                 std::span<float> dh_prev, std::span<float> dc_prev);
+
+  /// Backward of a code step: grad_W gains ∂L/∂a at the active columns
+  /// only, and no ∂L/∂x is computed (nothing reads layer 0's).
+  void backward(const LstmStepCache& cache, std::span<const float> dh,
+                std::span<const float> dc_in, std::span<float> dh_prev,
+                std::span<float> dc_prev);
 
   // ---- Batched entry points (DESIGN.md §4) -------------------------------
   //
@@ -84,6 +100,12 @@ class LstmCell {
                      LstmBatchCache& cache, Matrix& a_scratch,
                      ThreadPool* pool = nullptr) const;
 
+  /// Layer 0's batched forward over code rows: X Wᵀ is a gather-sum of
+  /// wT's active rows (gather_acc), bit for bit the dense product.
+  void forward_batch(const CodeMatrix& x, const Matrix& wT, const Matrix& uT,
+                     LstmBatchCache& cache, Matrix& a_scratch,
+                     ThreadPool* pool = nullptr) const;
+
   /// Batched one-timestep backward. `dh` is ∂L/∂h_t (B×H, recurrent part
   /// included); `dc_in` is the recurrent ∂L/∂c_t from step t+1 and may have
   /// fewer rows than B (ended sequences contribute zero) or be empty.
@@ -93,6 +115,15 @@ class LstmCell {
                       const Matrix& dh, const Matrix& dc_in, Matrix& dx,
                       Matrix& dh_prev, Matrix& dc_prev, Matrix& grad_w,
                       Matrix& grad_u, Matrix& grad_b, Matrix& da_scratch,
+                      ThreadPool* pool = nullptr) const;
+
+  /// Layer 0's batched backward over code rows. The input-weight gradient
+  /// accumulates TRANSPOSED, into grad_wT (I×4H, scatter_acc: one
+  /// contiguous row per active column); no dX is computed.
+  void backward_batch(const CodeMatrix& x, const LstmBatchCache& cache,
+                      const Matrix& dh, const Matrix& dc_in, Matrix& dh_prev,
+                      Matrix& dc_prev, Matrix& grad_wT, Matrix& grad_u,
+                      Matrix& grad_b, Matrix& da_scratch,
                       ThreadPool* pool = nullptr) const;
 
   void zero_grads();
@@ -112,6 +143,18 @@ class LstmCell {
   std::size_t param_count() const { return w_.size() + u_.size() + b_.size(); }
 
  private:
+  /// The gate activations and cell update from pre-activations `a` (4H).
+  void finish_forward(std::span<const float> a, std::span<const float> c_prev,
+                      LstmStepCache& cache) const;
+  /// Gate backward: fills da (4H) and dc_prev, and accumulates grad_U (with
+  /// h_prev) and grad_b; dh_prev = Uᵀ da.
+  void backward_gates(const LstmStepCache& cache, std::span<const float> dh,
+                      std::span<const float> dc_in, std::vector<float>& da,
+                      std::span<float> dh_prev, std::span<float> dc_prev);
+  /// Shape checks shared by both forward_batch overloads.
+  void check_batch(std::size_t x_rows, std::size_t x_cols, const Matrix& wT,
+                   const Matrix& uT, const LstmBatchCache& cache) const;
+
   std::size_t input_dim_;
   std::size_t hidden_dim_;
   Matrix w_;       ///< 4H × I, gate order [i,f,o,g]

@@ -17,9 +17,10 @@ namespace mlad::nn {
 /// keep their capacity). `dx[t]` doubles as the dh_out of the layer below.
 struct LayerBatchTape {
   std::vector<LstmBatchCache> steps;  ///< [t], rows shrink with B_t
-  std::vector<Matrix> dx;             ///< [t] ∂L/∂x_t from backward
+  std::vector<Matrix> dx;             ///< [t] ∂L/∂x_t (dense inputs only)
   Matrix wT, uT;                      ///< cached transposed parameters
   Matrix a, da;                       ///< pre-activation scratch (B×4H)
+  Matrix grad_wT;                     ///< code inputs: grad_W, transposed
   std::array<Matrix, 2> dh_carry;     ///< ping-pong recurrent ∂L/∂h
   std::array<Matrix, 2> dc_carry;     ///< ping-pong recurrent ∂L/∂c
 };
@@ -55,6 +56,10 @@ class LstmLayer {
   void forward_sequence(std::span<const std::vector<float>> xs,
                         std::vector<LstmStepCache>& caches,
                         std::vector<std::vector<float>>& outputs) const;
+  /// The same over code rows (the bottom layer, nn/codes.hpp).
+  void forward_sequence(std::span<const CodeRow> xs,
+                        std::vector<LstmStepCache>& caches,
+                        std::vector<std::vector<float>>& outputs) const;
 
   /// BPTT over a cached sequence. `dh_out[t]` is ∂L/∂h_t from above; the
   /// gradient w.r.t. each input is written to `dx[t]`. Parameter gradients
@@ -62,6 +67,9 @@ class LstmLayer {
   void backward_sequence(const std::vector<LstmStepCache>& caches,
                          std::span<const std::vector<float>> dh_out,
                          std::vector<std::vector<float>>& dx);
+  /// BPTT over a sequence that ran on code rows: no ∂L/∂x is computed.
+  void backward_sequence(const std::vector<LstmStepCache>& caches,
+                         std::span<const std::vector<float>> dh_out);
 
   // ---- Batched sequence entry points (DESIGN.md §4) -----------------------
 
@@ -80,12 +88,24 @@ class LstmLayer {
                               LayerBatchTape& tape, ThreadPool* pool = nullptr,
                               const Matrix* wT = nullptr,
                               const Matrix* uT = nullptr) const;
+  /// The same over code rows (the bottom layer).
+  void forward_sequence_batch(std::span<const CodeMatrix* const> xs,
+                              LayerBatchTape& tape, ThreadPool* pool = nullptr,
+                              const Matrix* wT = nullptr,
+                              const Matrix* uT = nullptr) const;
 
   /// Batched BPTT over a tape filled by forward_sequence_batch. `dh_out[t]`
   /// (B_t×H) is ∂L/∂h_t from above and is modified in place (recurrent
   /// additions); ∂L/∂x_t lands in tape.dx[t]. Parameter gradients accumulate
   /// into grad_w/grad_u/grad_b.
   void backward_sequence_batch(std::span<const Matrix* const> xs,
+                               std::span<Matrix> dh_out, LayerBatchTape& tape,
+                               Matrix& grad_w, Matrix& grad_u, Matrix& grad_b,
+                               ThreadPool* pool = nullptr) const;
+  /// The same over code rows: no tape.dx, and grad_w accumulates through
+  /// tape.grad_wT (cell backward_batch) — each element sees the same
+  /// ordered sums as the dense path.
+  void backward_sequence_batch(std::span<const CodeMatrix* const> xs,
                                std::span<Matrix> dh_out, LayerBatchTape& tape,
                                Matrix& grad_w, Matrix& grad_u, Matrix& grad_b,
                                ThreadPool* pool = nullptr) const;
@@ -99,6 +119,21 @@ class LstmLayer {
   void set_state(std::span<const float> h, std::span<const float> c);
 
  private:
+  template <class X>
+  void forward_steps(std::span<const X> xs, std::vector<LstmStepCache>& caches,
+                     std::vector<std::vector<float>>& outputs) const;
+  template <class Step>
+  void backward_steps(const std::vector<LstmStepCache>& caches,
+                      std::span<const std::vector<float>> dh_out,
+                      const Step& step);
+  template <class X>
+  void forward_batch_steps(std::span<const X* const> xs, LayerBatchTape& tape,
+                           ThreadPool* pool, const Matrix* wT,
+                           const Matrix* uT) const;
+  template <class Step>
+  void backward_batch_steps(std::size_t steps, std::span<Matrix> dh_out,
+                            LayerBatchTape& tape, const Step& step) const;
+
   LstmCell cell_;
   std::vector<float> h_;
   std::vector<float> c_;

@@ -32,7 +32,7 @@ void SequenceModel::init_params(Rng& rng) {
   softmax_.init_params(rng);
 }
 
-double SequenceModel::train_fragment(std::span<const std::vector<float>> xs,
+double SequenceModel::train_fragment(std::span<const CodeRow> xs,
                                      std::span<const std::size_t> targets) {
   if (xs.size() != targets.size()) {
     throw std::invalid_argument("train_fragment: xs/targets length mismatch");
@@ -108,20 +108,16 @@ double SequenceModel::train_window_batch(std::span<const WindowRef> windows,
   if (ws.order.empty()) return 0.0;
   const std::size_t T = windows[ws.order.front()].steps();
 
-  // Per-step input matrices: xs[t] stacks the step-t input of every window
-  // still active at t.
+  // Per-step code rows: xs[t] stacks the step-t input of every window
+  // still active at t (push_row checks each against input_dim).
   ws.xs.resize(T);
   std::size_t active = ws.order.size();
   for (std::size_t t = 0; t < T; ++t) {
     while (active > 0 && windows[ws.order[active - 1]].steps() <= t) --active;
-    Matrix& x = ws.xs[t];
-    x.resize(active, config_.input_dim);
+    CodeMatrix& x = ws.xs[t];
+    x.clear(config_.input_dim);
     for (std::size_t r = 0; r < active; ++r) {
-      const auto& in = windows[ws.order[r]].inputs[t];
-      if (in.size() != config_.input_dim) {
-        throw std::invalid_argument("train_window_batch: input dim mismatch");
-      }
-      std::copy(in.begin(), in.end(), x.data() + r * x.cols());
+      x.push_row(windows[ws.order[r]].inputs[t]);
     }
   }
 
@@ -169,7 +165,7 @@ double SequenceModel::train_window_batch(std::span<const WindowRef> windows,
 }
 
 double SequenceModel::evaluate_fragment(
-    std::span<const std::vector<float>> xs,
+    std::span<const CodeRow> xs,
     std::span<const std::size_t> targets) const {
   if (xs.size() != targets.size()) {
     throw std::invalid_argument("evaluate_fragment: length mismatch");
@@ -186,7 +182,7 @@ double SequenceModel::evaluate_fragment(
   return loss;
 }
 
-std::size_t SequenceModel::top_k_misses(std::span<const std::vector<float>> xs,
+std::size_t SequenceModel::top_k_misses(std::span<const CodeRow> xs,
                                         std::span<const std::size_t> targets,
                                         std::size_t k) const {
   if (xs.size() != targets.size()) {
@@ -226,9 +222,9 @@ SequenceModel::State SequenceModel::make_state() const {
   return s;
 }
 
-void SequenceModel::predict(State& state, std::span<const float> x,
+void SequenceModel::predict(State& state, std::span<const std::uint32_t> codes,
                             std::vector<float>& probs) const {
-  const auto top = lstm_.step(x, state.lstm, state.scratch);
+  const auto top = lstm_.step(codes, state.lstm, state.scratch);
   softmax_.forward(top, probs);
 }
 
@@ -240,7 +236,7 @@ SequenceModel::BatchState SequenceModel::make_batch_state(
   return s;
 }
 
-void SequenceModel::predict_batch(BatchState& state, const Matrix& x,
+void SequenceModel::predict_batch(BatchState& state, const CodeMatrix& x,
                                   ThreadPool* pool) const {
   if (x.cols() != config_.input_dim) {
     throw std::invalid_argument("predict_batch: input dim mismatch");

@@ -3,8 +3,9 @@
 //   Pr(s | c(t-1), c(t-2), …)  ∀ s ∈ S.
 //
 // Inputs are the one-hot-encoded discretized feature vectors c(t) (plus the
-// extra "noisy" bit of §V-A-3); the target at step t is the *next* package's
-// signature id. Fragment alignment is the caller's job (see detect/).
+// extra "noisy" bit of §V-A-3), given as code rows — their active columns
+// (nn/codes.hpp); the target at step t is the *next* package's signature
+// id. Fragment alignment is the caller's job (see detect/).
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,7 @@ struct SequenceModelConfig {
 
 /// A view of one training window: inputs[t] predicts targets[t].
 struct WindowRef {
-  std::span<const std::vector<float>> inputs;
+  std::span<const CodeRow> inputs;
   std::span<const std::size_t> targets;
 
   std::size_t steps() const { return inputs.size(); }
@@ -51,7 +52,7 @@ struct ModelGrads {
 /// reusing it across minibatches makes the steady state allocation-free.
 struct BatchWorkspace {
   StackedBatchTape tape;
-  std::vector<Matrix> xs;         ///< [t] layer-0 inputs, B_t × input_dim
+  std::vector<CodeMatrix> xs;     ///< [t] layer-0 code rows, B_t of them
   std::vector<Matrix> dh_top;     ///< [t] ∂L/∂(top h_t)
   Matrix probs;                   ///< B_t × C softmax scratch (then dlogits)
   Matrix softmax_wT;              ///< H_top × C cached transpose
@@ -86,7 +87,7 @@ class SequenceModel {
   /// Forward + BPTT over one fragment. `xs[t]` predicts `targets[t]`.
   /// Accumulates gradients (callers zero_grads()/optimizer-step around it)
   /// and returns the summed cross-entropy loss over the fragment.
-  double train_fragment(std::span<const std::vector<float>> xs,
+  double train_fragment(std::span<const CodeRow> xs,
                         std::span<const std::size_t> targets);
 
   /// Batched forward + BPTT over up to a micro-batch of windows, processed
@@ -112,12 +113,12 @@ class SequenceModel {
   ModelGrads make_grads() const;
 
   /// Forward only; returns summed cross-entropy loss (for validation).
-  double evaluate_fragment(std::span<const std::vector<float>> xs,
+  double evaluate_fragment(std::span<const CodeRow> xs,
                            std::span<const std::size_t> targets) const;
 
   /// Count of targets NOT in the predicted top-k over a fragment — the
   /// numerator of the paper's top-k error err_k.
-  std::size_t top_k_misses(std::span<const std::vector<float>> xs,
+  std::size_t top_k_misses(std::span<const CodeRow> xs,
                            std::span<const std::size_t> targets,
                            std::size_t k) const;
 
@@ -134,8 +135,8 @@ class SequenceModel {
 
   State make_state() const;
 
-  /// Consume one package's encoded features; emit Pr(s | history) in `probs`.
-  void predict(State& state, std::span<const float> x,
+  /// Consume one package's code row; emit Pr(s | history) in `probs`.
+  void predict(State& state, std::span<const std::uint32_t> codes,
                std::vector<float>& probs) const;
 
   /// Rolling state for S concurrent inference streams advanced in lockstep:
@@ -148,11 +149,11 @@ class SequenceModel {
 
   BatchState make_batch_state(std::size_t streams) const;
 
-  /// One batched tick: x is (B×input_dim), B = current stream count; row s
+  /// One batched tick: x holds B code rows, B = current stream count; row s
   /// of state.probs becomes stream s's next-package distribution. Matches
   /// per-stream predict() to float rounding (batched kernels vs per-sample
   /// reference); bit-identical for any `pool`.
-  void predict_batch(BatchState& state, const Matrix& x,
+  void predict_batch(BatchState& state, const CodeMatrix& x,
                      ThreadPool* pool = nullptr) const;
 
   /// Keep only the first n streams of the batched state.

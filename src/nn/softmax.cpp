@@ -91,4 +91,46 @@ bool in_top_k(std::span<const float> probs, std::size_t target,
   return true;
 }
 
+std::size_t top_k_rank(std::span<const float> probs, std::size_t target) {
+  if (target >= probs.size()) return kNoRank;
+  const float pt = probs[target];
+  std::size_t ahead = 0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    if (probs[i] > pt || (probs[i] == pt && i < target)) ++ahead;
+  }
+  return ahead;
+}
+
+void TopKErrorCurve::add(std::span<const float> probs,
+                         std::optional<std::size_t> target) {
+  ++steps_;
+  if (!target) return;
+  const std::size_t rank = top_k_rank(probs, *target);
+  if (rank < hits_at_rank_.size()) ++hits_at_rank_[rank];
+}
+
+double TopKErrorCurve::error(std::size_t k) const {
+  if (k > hits_at_rank_.size()) {
+    throw std::invalid_argument("TopKErrorCurve::error: k above max_k");
+  }
+  if (steps_ == 0) return 0.0;
+  // A step of rank r is inside S(k) for every k > r.
+  std::size_t hits = 0;
+  for (std::size_t r = 0; r < k; ++r) hits += hits_at_rank_[r];
+  return static_cast<double>(steps_ - hits) / static_cast<double>(steps_);
+}
+
+std::vector<double> TopKErrorCurve::errors() const {
+  std::vector<double> err(hits_at_rank_.size());
+  for (std::size_t k = 1; k <= err.size(); ++k) err[k - 1] = error(k);
+  return err;
+}
+
+std::size_t smallest_k_below(std::span<const double> curve, double theta) {
+  for (std::size_t k = 1; k <= curve.size(); ++k) {
+    if (curve[k - 1] < theta) return k;
+  }
+  return curve.size();
+}
+
 }  // namespace mlad::nn

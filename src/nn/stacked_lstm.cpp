@@ -36,32 +36,35 @@ StackedLstmState StackedLstm::make_state() const {
   return s;
 }
 
-std::span<const float> StackedLstm::step(std::span<const float> x,
+std::span<const float> StackedLstm::step(std::span<const std::uint32_t> codes,
                                          StackedLstmState& state,
                                          LstmStepCache& scratch) const {
   if (state.h.size() != layers_.size()) {
     throw std::invalid_argument("StackedLstm::step: state layer mismatch");
   }
-  std::span<const float> in = x;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    layers_[li].cell().forward(in, state.h[li], state.c[li], scratch);
+    const LstmCell& cell = layers_[li].cell();
+    if (li == 0) {
+      cell.forward(codes, state.h[0], state.c[0], scratch);
+    } else {
+      cell.forward(state.h[li - 1], state.h[li], state.c[li], scratch);
+    }
     state.h[li] = scratch.h;
     state.c[li] = scratch.c;
-    in = state.h[li];
   }
-  return in;
+  return state.h.back();
 }
 
 std::vector<std::vector<float>> StackedLstm::forward_sequence(
-    std::span<const std::vector<float>> xs, StackedLstmCache& cache) const {
+    std::span<const CodeRow> xs, StackedLstmCache& cache) const {
   cache.caches.assign(layers_.size(), {});
   cache.outputs.assign(layers_.size(), {});
-  std::vector<std::vector<float>> in(xs.begin(), xs.end());
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    layers_[li].forward_sequence(in, cache.caches[li], cache.outputs[li]);
-    in = cache.outputs[li];
+  layers_[0].forward_sequence(xs, cache.caches[0], cache.outputs[0]);
+  for (std::size_t li = 1; li < layers_.size(); ++li) {
+    layers_[li].forward_sequence(cache.outputs[li - 1], cache.caches[li],
+                                 cache.outputs[li]);
   }
-  return in;  // top layer outputs
+  return cache.outputs.back();  // top layer outputs
 }
 
 void StackedLstm::backward_sequence(const StackedLstmCache& cache,
@@ -71,13 +74,14 @@ void StackedLstm::backward_sequence(const StackedLstmCache& cache,
   }
   std::vector<std::vector<float>> dh(dh_top.begin(), dh_top.end());
   std::vector<std::vector<float>> dx;
-  for (std::size_t li = layers_.size(); li-- > 0;) {
+  for (std::size_t li = layers_.size(); li-- > 1;) {
     layers_[li].backward_sequence(cache.caches[li], dh, dx);
     dh = dx;  // gradient w.r.t. the layer's inputs = grads for layer below
   }
+  layers_[0].backward_sequence(cache.caches[0], dh);  // no ∂L/∂codes
 }
 
-void StackedLstm::forward_sequence_batch(std::span<const Matrix> xs,
+void StackedLstm::forward_sequence_batch(std::span<const CodeMatrix> xs,
                                          StackedBatchTape& tape,
                                          ThreadPool* pool,
                                          std::span<const Matrix> wT,
@@ -90,18 +94,25 @@ void StackedLstm::forward_sequence_batch(std::span<const Matrix> xs,
   }
   tape.layers.resize(layers_.size());
   tape.inputs.resize(layers_.size());
+  // Layer 0 reads the caller's code rows (which must stay alive through
+  // the matching backward pass); layer l reads layer l-1's hidden outputs,
+  // already sized B_t.
+  tape.codes.resize(T);
+  for (std::size_t t = 0; t < T; ++t) tape.codes[t] = &xs[t];
   for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const Matrix* wT_l = wT.empty() ? nullptr : &wT[li];
+    const Matrix* uT_l = uT.empty() ? nullptr : &uT[li];
+    if (li == 0) {
+      layers_[0].forward_sequence_batch(tape.codes, tape.layers[0], pool,
+                                        wT_l, uT_l);
+      continue;
+    }
     auto& in = tape.inputs[li];
     in.resize(T);
     for (std::size_t t = 0; t < T; ++t) {
-      // Layer 0 reads the caller's encoded inputs (which must stay alive
-      // through the matching backward pass); layer l reads layer l-1's
-      // hidden outputs, already sized B_t.
-      in[t] = li == 0 ? &xs[t] : &tape.layers[li - 1].steps[t].h;
+      in[t] = &tape.layers[li - 1].steps[t].h;
     }
-    layers_[li].forward_sequence_batch(in, tape.layers[li], pool,
-                                       wT.empty() ? nullptr : &wT[li],
-                                       uT.empty() ? nullptr : &uT[li]);
+    layers_[li].forward_sequence_batch(in, tape.layers[li], pool, wT_l, uT_l);
   }
 }
 
@@ -114,12 +125,14 @@ void StackedLstm::backward_sequence_batch(StackedBatchTape& tape,
     throw std::invalid_argument("backward_sequence_batch: bad tape/grads");
   }
   std::span<Matrix> dh = dh_top;
-  for (std::size_t li = layers_.size(); li-- > 0;) {
+  for (std::size_t li = layers_.size(); li-- > 1;) {
     layers_[li].backward_sequence_batch(tape.inputs[li], dh, tape.layers[li],
                                         grads[3 * li], grads[3 * li + 1],
                                         grads[3 * li + 2], pool);
     dh = tape.layers[li].dx;  // input grads = dh_out of the layer below
   }
+  layers_[0].backward_sequence_batch(tape.codes, dh, tape.layers[0], grads[0],
+                                     grads[1], grads[2], pool);
 }
 
 void StackedLstm::begin_stream_batch(std::size_t streams,
@@ -136,24 +149,27 @@ void StackedLstm::begin_stream_batch(std::size_t streams,
   }
 }
 
-const Matrix& StackedLstm::step_stream_batch(const Matrix& x,
+const Matrix& StackedLstm::step_stream_batch(const CodeMatrix& x,
                                              StreamBatchState& sb,
                                              ThreadPool* pool) const {
   if (sb.layers.size() != layers_.size()) {
     throw std::invalid_argument("step_stream_batch: uninitialized state");
   }
-  const Matrix* in = &x;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     LstmBatchCache& cache = sb.layers[li];
-    layers_[li].cell().forward_batch(*in, sb.wT[li], sb.uT[li], cache, sb.a,
-                                     pool);
+    const LstmCell& cell = layers_[li].cell();
+    if (li == 0) {
+      cell.forward_batch(x, sb.wT[0], sb.uT[0], cache, sb.a, pool);
+    } else {
+      cell.forward_batch(sb.layers[li - 1].h_prev, sb.wT[li], sb.uT[li],
+                         cache, sb.a, pool);
+    }
     // The fresh h/c become the entering state of the next tick; after the
     // swap they also double as the input block of the layer above.
     std::swap(cache.h, cache.h_prev);
     std::swap(cache.c, cache.c_prev);
-    in = &cache.h_prev;
   }
-  return *in;
+  return sb.layers.back().h_prev;
 }
 
 void StackedLstm::shrink_stream_batch(std::size_t n,

@@ -1,6 +1,7 @@
 // The stacked (multi-layer) LSTM of Fig. 2: the one-hot discretized package
-// features enter the bottom layer; each layer feeds the next; the top
-// layer's hidden vector goes to the softmax classifier (sequence_model.hpp).
+// features enter the bottom layer, as code rows (nn/codes.hpp); each layer
+// feeds the next; the top layer's hidden vector goes to the softmax
+// classifier (sequence_model.hpp).
 #pragma once
 
 #include <span>
@@ -29,8 +30,9 @@ struct StackedLstmCache {
 /// minibatches so the steady state is allocation-free.
 struct StackedBatchTape {
   std::vector<LayerBatchTape> layers;  ///< [layer]
-  /// Per-layer input pointers rebuilt each pass: inputs[0] aliases the
-  /// caller's xs, inputs[l>0][t] = &layers[l-1].steps[t].h.
+  /// Input pointers rebuilt each pass: codes[t] aliases the caller's xs[t]
+  /// (layer 0); inputs[l>0][t] = &layers[l-1].steps[t].h, inputs[0] unused.
+  std::vector<const CodeMatrix*> codes;
   std::vector<std::vector<const Matrix*>> inputs;
 };
 
@@ -63,16 +65,17 @@ class StackedLstm {
   /// Fresh all-zero state.
   StackedLstmState make_state() const;
 
-  /// Streaming step through the whole stack. Returns the top hidden vector
-  /// (valid until the next call with the same `out` buffer).
-  std::span<const float> step(std::span<const float> x,
+  /// Streaming step through the whole stack on one code row. Returns the
+  /// top hidden vector (valid until the next call with the same `out`
+  /// buffer).
+  std::span<const float> step(std::span<const std::uint32_t> codes,
                               StackedLstmState& state,
                               LstmStepCache& scratch) const;
 
-  /// Training-time forward over a fragment; fills `cache`, returns top
-  /// outputs per step.
+  /// Training-time forward over a fragment's code rows; fills `cache`,
+  /// returns top outputs per step.
   std::vector<std::vector<float>> forward_sequence(
-      std::span<const std::vector<float>> xs, StackedLstmCache& cache) const;
+      std::span<const CodeRow> xs, StackedLstmCache& cache) const;
 
   /// BPTT through all layers. `dh_top[t]` is ∂L/∂(top h_t). Parameter
   /// gradients accumulate in each cell.
@@ -81,14 +84,14 @@ class StackedLstm {
 
   // ---- Batched entry points (DESIGN.md §4) -------------------------------
 
-  /// Batched training-time forward: xs[t] is the B_t × input_dim matrix of
+  /// Batched training-time forward: xs[t] holds the B_t code rows of the
   /// sequences active at step t (B_t non-increasing). Top-layer outputs are
   /// tape.layers.back().steps[t].h. Const — everything lands in the tape.
   ///
   /// `wT`/`uT`, when non-empty, hold one caller-cached transpose of each
   /// layer's w/u (size == num_layers()); the per-call transposes are then
   /// skipped (DESIGN.md §11). Must match the current parameters exactly.
-  void forward_sequence_batch(std::span<const Matrix> xs,
+  void forward_sequence_batch(std::span<const CodeMatrix> xs,
                               StackedBatchTape& tape,
                               ThreadPool* pool = nullptr,
                               std::span<const Matrix> wT = {},
@@ -108,11 +111,11 @@ class StackedLstm {
   /// again after any parameter update to refresh them).
   void begin_stream_batch(std::size_t streams, StreamBatchState& sb) const;
 
-  /// Advance every stream one timestep: x is (B×input_dim), B = current
+  /// Advance every stream one timestep: x holds B code rows, B = current
   /// stream count. Returns the top layer's (B×H_top) hidden block, valid
   /// until the next call. `pool` only partitions kernel rows and never
   /// changes results (§5).
-  const Matrix& step_stream_batch(const Matrix& x, StreamBatchState& sb,
+  const Matrix& step_stream_batch(const CodeMatrix& x, StreamBatchState& sb,
                                   ThreadPool* pool = nullptr) const;
 
   /// Keep only the first n streams (rows) of the state.

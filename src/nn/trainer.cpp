@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 
 #include "common/stopwatch.hpp"
 
@@ -130,8 +131,8 @@ void run_epoch_sequential(SequenceModel& model,
     if (frag.steps() == 0) continue;
     for (const auto& [start, end] : windows(frag.steps(), config.truncate_steps)) {
       model.zero_grads();
-      const std::span<const std::vector<float>> xs(
-          frag.inputs.data() + start, end - start);
+      const std::span<const CodeRow> xs(frag.inputs.data() + start,
+                                        end - start);
       const std::span<const std::size_t> ts(frag.targets.data() + start,
                                             end - start);
       loss_sum += model.train_fragment(xs, ts);
@@ -218,25 +219,45 @@ double mean_loss(const SequenceModel& model,
   return steps ? loss / static_cast<double>(steps) : 0.0;
 }
 
-double top_k_error(const SequenceModel& model,
-                   std::span<const Fragment> fragments, std::size_t k) {
-  std::size_t misses = 0;
-  std::size_t total = 0;
+namespace {
+
+/// One streamed pass over the fragments, recording every step's rank.
+TopKErrorCurve rank_pass(const SequenceModel& model,
+                         std::span<const Fragment> fragments,
+                         std::size_t max_k) {
+  TopKErrorCurve curve(max_k);
+  std::vector<float> probs;
   for (const Fragment& frag : fragments) {
     if (frag.steps() == 0) continue;
-    misses += model.top_k_misses(frag.inputs, frag.targets, k);
-    total += frag.steps();
+    if (frag.inputs.size() != frag.targets.size()) {
+      throw std::invalid_argument("top_k_error_curve: length mismatch");
+    }
+    SequenceModel::State state = model.make_state();
+    for (std::size_t t = 0; t < frag.steps(); ++t) {
+      model.predict(state, frag.inputs[t], probs);
+      curve.add(probs, frag.targets[t]);
+    }
   }
-  return total ? static_cast<double>(misses) / static_cast<double>(total) : 0.0;
+  return curve;
+}
+
+}  // namespace
+
+std::vector<double> top_k_error_curve(const SequenceModel& model,
+                                      std::span<const Fragment> fragments,
+                                      std::size_t max_k) {
+  return rank_pass(model, fragments, max_k).errors();
+}
+
+double top_k_error(const SequenceModel& model,
+                   std::span<const Fragment> fragments, std::size_t k) {
+  return rank_pass(model, fragments, k).error(k);
 }
 
 std::size_t choose_k(const SequenceModel& model,
                      std::span<const Fragment> fragments, double theta,
                      std::size_t max_k) {
-  for (std::size_t k = 1; k <= max_k; ++k) {
-    if (top_k_error(model, fragments, k) < theta) return k;
-  }
-  return max_k;
+  return smallest_k_below(top_k_error_curve(model, fragments, max_k), theta);
 }
 
 }  // namespace mlad::nn

@@ -16,10 +16,10 @@
 
 namespace mlad::nn {
 
-/// One training fragment: encoded inputs and next-signature targets,
-/// already aligned (inputs[t] predicts targets[t]).
+/// One training fragment: encoded inputs (code rows, nn/codes.hpp) and
+/// next-signature targets, already aligned (inputs[t] predicts targets[t]).
 struct Fragment {
-  std::vector<std::vector<float>> inputs;
+  std::vector<CodeRow> inputs;
   std::vector<std::size_t> targets;
 
   std::size_t steps() const { return inputs.size(); }
@@ -128,7 +128,14 @@ TrainReport train(SequenceModel& model, std::span<const Fragment> fragments,
 double mean_loss(const SequenceModel& model,
                  std::span<const Fragment> fragments);
 
-/// Paper §V-B: err_k = (Σ_t 1(s(x(t)) ∉ S(k))) / T over all fragments.
+/// Paper §V-B: err_k = (Σ_t 1(s(x(t)) ∉ S(k))) / T over all fragments,
+/// for every k = 1..max_k (index k-1) from one forward pass
+/// (TopKErrorCurve).
+std::vector<double> top_k_error_curve(const SequenceModel& model,
+                                      std::span<const Fragment> fragments,
+                                      std::size_t max_k);
+
+/// err_k alone, from the same single pass.
 double top_k_error(const SequenceModel& model,
                    std::span<const Fragment> fragments, std::size_t k);
 

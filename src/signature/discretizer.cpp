@@ -169,4 +169,22 @@ void one_hot_encode(const DiscreteRow& row,
   }
 }
 
+void append_one_hot_codes(const DiscreteRow& row,
+                          std::span<const std::size_t> cardinalities,
+                          bool extra_bit, std::vector<std::uint32_t>& out) {
+  if (row.size() != cardinalities.size()) {
+    throw std::invalid_argument(
+        "append_one_hot_codes: row/cardinality mismatch");
+  }
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (row[i] >= cardinalities[i]) {
+      throw std::out_of_range("append_one_hot_codes: id exceeds cardinality");
+    }
+    out.push_back(static_cast<std::uint32_t>(offset + row[i]));
+    offset += cardinalities[i];
+  }
+  if (extra_bit) out.push_back(static_cast<std::uint32_t>(offset));
+}
+
 }  // namespace mlad::sig

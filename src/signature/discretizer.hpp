@@ -95,4 +95,12 @@ void one_hot_encode(const DiscreteRow& row,
                     std::span<const std::size_t> cardinalities,
                     std::size_t extra_bits, std::vector<float>& out);
 
+/// The active columns of that encoding with one extra bit, ascending, as
+/// layer 0 of the LSTM reads them (nn/codes.hpp): offset + id per feature,
+/// then the extra bit's column (the one-hot width) when `extra_bit` is set.
+/// Appended to `out`.
+void append_one_hot_codes(const DiscreteRow& row,
+                          std::span<const std::size_t> cardinalities,
+                          bool extra_bit, std::vector<std::uint32_t>& out);
+
 }  // namespace mlad::sig

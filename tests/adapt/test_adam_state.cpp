@@ -29,10 +29,10 @@ SequenceModel small_model(std::uint64_t seed = 11) {
 
 /// One deterministic synthetic training step.
 double train_step(SequenceModel& model, Adam& opt, std::size_t salt) {
-  std::vector<std::vector<float>> xs(3, std::vector<float>(6, 0.0f));
+  std::vector<nn::CodeRow> xs(3);
   std::vector<std::size_t> targets(3);
   for (std::size_t t = 0; t < xs.size(); ++t) {
-    xs[t][(salt + t) % 6] = 1.0f;
+    xs[t] = {static_cast<std::uint32_t>((salt + t) % 6)};
     targets[t] = (salt + t) % 4;
   }
   model.zero_grads();

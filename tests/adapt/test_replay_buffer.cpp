@@ -14,7 +14,7 @@ namespace {
 /// A tiny tagged window: one step whose target identifies (link, index).
 nn::Fragment window(std::size_t tag) {
   nn::Fragment f;
-  f.inputs.push_back({static_cast<float>(tag)});
+  f.inputs.push_back({static_cast<std::uint32_t>(tag)});
   f.targets.push_back(tag);
   return f;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "detect/pipeline.hpp"
@@ -110,6 +112,18 @@ TEST_F(SerializeFixture, TruncatedStreamThrows) {
   const std::string full = buf.str();
   std::stringstream cut(full.substr(0, full.size() / 3));
   EXPECT_THROW(load_framework(cut), std::runtime_error);
+}
+
+TEST_F(SerializeFixture, ZeroKFieldIsRefused) {
+  // The model file ends with the chosen k; a file claiming k = 0 would
+  // flag every package with history, so it must not load.
+  std::stringstream buf;
+  save_framework(buf, *framework->detector);
+  std::string bytes = buf.str();
+  ASSERT_GE(bytes.size(), sizeof(std::uint64_t));
+  std::fill(bytes.end() - sizeof(std::uint64_t), bytes.end(), '\0');
+  std::stringstream zero_k(bytes);
+  EXPECT_THROW(load_framework(zero_k), std::invalid_argument);
 }
 
 TEST_F(SerializeFixture, MissingFileThrows) {

@@ -18,10 +18,15 @@
 namespace mlad::nn {
 namespace {
 
-std::vector<float> random_vec(Rng& rng, std::size_t n, float scale = 1.0f) {
-  std::vector<float> v(n);
-  for (float& x : v) x = static_cast<float>(rng.uniform(-scale, scale));
-  return v;
+/// A random non-empty code row (nn/codes.hpp) over n columns.
+CodeRow random_codes(Rng& rng, std::size_t n) {
+  CodeRow codes;
+  while (codes.empty()) {
+    for (std::uint32_t c = 0; c < n; ++c) {
+      if (rng.bernoulli(0.4)) codes.push_back(c);
+    }
+  }
+  return codes;
 }
 
 Matrix random_matrix(Rng& rng, std::size_t r, std::size_t c) {
@@ -152,7 +157,7 @@ SequenceModelConfig small_config(std::size_t input_dim, std::size_t classes) {
   return cfg;
 }
 
-/// Windows of different lengths over random one-hot-ish inputs.
+/// Windows of different lengths over random code-row inputs.
 std::vector<Fragment> random_fragments(Rng& rng, std::size_t count,
                                        std::size_t input_dim,
                                        std::size_t classes) {
@@ -160,7 +165,7 @@ std::vector<Fragment> random_fragments(Rng& rng, std::size_t count,
   for (std::size_t f = 0; f < count; ++f) {
     const std::size_t steps = 1 + rng.index(9);
     for (std::size_t t = 0; t < steps; ++t) {
-      frags[f].inputs.push_back(random_vec(rng, input_dim));
+      frags[f].inputs.push_back(random_codes(rng, input_dim));
       frags[f].targets.push_back(rng.index(classes));
     }
   }

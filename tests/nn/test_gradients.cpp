@@ -148,7 +148,7 @@ TEST(GradCheck, LstmCellAllParameters) {
 
 /// End-to-end BPTT check on the full stacked model over a short sequence.
 double model_loss(const SequenceModel& model,
-                  const std::vector<std::vector<float>>& xs,
+                  const std::vector<CodeRow>& xs,
                   const std::vector<std::size_t>& targets) {
   return model.evaluate_fragment(xs, targets);
 }
@@ -162,14 +162,11 @@ TEST(GradCheck, FullModelBptt) {
   SequenceModel model(cfg);
   model.init_params(rng);
 
-  std::vector<std::vector<float>> xs;
+  // Code rows (nn/codes.hpp) that between them touch every input column,
+  // so every layer-0 weight column carries a gradient.
+  const std::vector<CodeRow> xs = {{0, 2}, {1, 3, 4}, {0, 4}, {2}, {1, 3}};
   std::vector<std::size_t> targets;
-  for (int t = 0; t < 5; ++t) {
-    std::vector<float> x(5);
-    for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    xs.push_back(x);
-    targets.push_back(rng.index(4));
-  }
+  for (std::size_t t = 0; t < xs.size(); ++t) targets.push_back(rng.index(4));
 
   model.zero_grads();
   model.train_fragment(xs, targets);

@@ -2,8 +2,10 @@
 // is compiled in and usable on this host must (a) agree with the scalar
 // reference within the documented tolerance on randomized shapes, including
 // ragged tails where M, N, K are not multiples of the vector width, (b) be
-// bit-identical across thread counts within itself, and (c) be selectable
-// through the MLAD_KERNEL_BACKEND environment override.
+// bit-identical across thread counts and row groupings within itself,
+// (c) reproduce its own dense products bitwise in the layer-0 code kernels,
+// and (d) be selectable through the MLAD_KERNEL_BACKEND environment
+// override.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -385,6 +387,138 @@ TEST(KernelBackends, Avx2AndAvx512AgreeBitwiseWhereTheBodyIsShared) {
       backward(v16, da16, dc16);
       expect_bitwise(da8, da16, "gates_backward_rows da" + what);
       expect_bitwise(dc8, dc16, "gates_backward_rows dc_prev" + what);
+    }
+  }
+}
+
+/// B code rows shaped like layer 0's input: one code per feature of the
+/// given cardinalities, then the noisy bit (column K-1) on about half of
+/// the rows; a feature is dropped now and then, so row lengths are ragged.
+/// `dense` is the one-hot twin.
+void layer0_codes(Rng& rng, std::size_t B,
+                  std::span<const std::size_t> cards, CodeMatrix& codes,
+                  Matrix& dense) {
+  std::size_t K = 1;
+  for (std::size_t c : cards) K += c;
+  codes.clear(K);
+  dense.resize(B, K);
+  for (std::size_t r = 0; r < B; ++r) {
+    CodeRow row;
+    std::size_t offset = 0;
+    for (std::size_t c : cards) {
+      if (!rng.bernoulli(0.1)) row.push_back(offset + rng.index(c));
+      offset += c;
+    }
+    if (rng.bernoulli(0.5)) row.push_back(offset);
+    codes.push_row(row);
+    for (std::uint32_t c : row) dense(r, c) = 1.0f;
+  }
+}
+
+Matrix transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) t(j, i) = m(i, j);
+  }
+  return t;
+}
+
+TEST(KernelBackends, CodeKernelsEqualDenseProductsBitwise) {
+  // Layer 0's gather (forward) and scatter (weight gradient) must give each
+  // backend's own dense matmul_nn / matmul_tn bits on the one-hot rows
+  // (DESIGN.md §5). The cardinalities put two and three codes in one
+  // 4-column block, and the noisy bit in the K % 4 tail: K = 25 (tail
+  // {24}) and K = 19 (tail {16, 17, 18}). N = 4H spans vector-width
+  // multiples and ragged column tails.
+  BackendGuard restore;
+  Rng rng(77);
+  ThreadPool pool(3);
+  const std::vector<std::vector<std::size_t>> schemas = {
+      {2, 1, 3, 5, 2, 7, 4}, {1, 1, 1, 3, 9, 3}};
+  for (const std::string& name : available_kernel_backends()) {
+    ASSERT_TRUE(select_kernel_backend(name));
+    for (const auto& cards : schemas) {
+      for (std::size_t H : {1, 3, 5, 8, 16, 64}) {
+        for (std::size_t B = 1; B <= 9; ++B) {
+          const std::string what = name + " H=" + std::to_string(H) +
+                                   " B=" + std::to_string(B) +
+                                   " K=" + std::to_string(cards.size());
+          CodeMatrix codes;
+          Matrix dense;
+          layer0_codes(rng, B, cards, codes, dense);
+          const std::size_t K = dense.cols();
+          const std::size_t N = 4 * H;
+
+          // Forward: out (seeded like the bias broadcast) += X · Wᵀ.
+          const Matrix wT = random_matrix(K, N, rng);
+          const Matrix seed = random_matrix(B, N, rng);
+          Matrix want = seed;
+          Matrix got = seed;
+          Matrix got_pool = seed;
+          matmul_nn_acc(dense, wT, want);
+          gather_acc(codes, wT, got);
+          gather_acc(codes, wT, got_pool, &pool);
+          expect_bitwise(got, want, "gather " + what);
+          expect_bitwise(got_pool, want, "gather (pool) " + what);
+
+          // Backward: grad (4H × K) += dAᵀ · X, some dA exactly zero; the
+          // scatter keeps it transposed (K × 4H). Zero and nonzero seeds.
+          const Matrix da = random_matrix(B, N, rng, 0.2);
+          for (const bool zero_seed : {true, false}) {
+            const Matrix gseed =
+                zero_seed ? Matrix(N, K) : random_matrix(N, K, rng);
+            Matrix want_g = gseed;
+            matmul_tn_acc(da, dense, want_g);
+            Matrix got_t = transposed(gseed);
+            Matrix got_t_pool = got_t;
+            scatter_acc(da, codes, got_t);
+            scatter_acc(da, codes, got_t_pool, &pool);
+            expect_bitwise(transposed(got_t), want_g, "scatter " + what);
+            expect_bitwise(transposed(got_t_pool), want_g,
+                           "scatter (pool) " + what);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, MatmulRowBitsIndependentOfRowGroup) {
+  // The micro-kernel runs a partition's rows in groups of 4 and then one
+  // group of the 1–3 leftovers. A row's bits must not depend on which
+  // group computed it: each row of a B-row product equals the same row
+  // computed alone.
+  BackendGuard restore;
+  Rng rng(91);
+  for (const std::string& name : available_kernel_backends()) {
+    ASSERT_TRUE(select_kernel_backend(name));
+    for (std::size_t B = 1; B <= 9; ++B) {
+      for (const Shape& s : kShapes) {
+        const std::string what = name + " B=" + std::to_string(B) + " " +
+                                 std::to_string(s.k) + "x" +
+                                 std::to_string(s.n);
+        const Matrix a = random_matrix(B, s.k, rng, 0.3);
+        const Matrix b = random_matrix(s.k, s.n, rng);
+        Matrix all;
+        matmul_nn(a, b, all);
+        // Out rows of the tn product are columns of at (K × B).
+        const Matrix at = random_matrix(s.k, B, rng);
+        Matrix all_tn(B, s.n);
+        matmul_tn_acc(at, b, all_tn);
+        for (std::size_t r = 0; r < B; ++r) {
+          const Matrix a_row = Matrix::from_rows(1, s.k, a.row(r));
+          Matrix one;
+          matmul_nn(a_row, b, one);
+          expect_bitwise(Matrix::from_rows(1, s.n, all.row(r)), one,
+                         "nn row " + std::to_string(r) + " " + what);
+          Matrix at_col(s.k, 1);
+          for (std::size_t k = 0; k < s.k; ++k) at_col(k, 0) = at(k, r);
+          Matrix one_tn(1, s.n);
+          matmul_tn_acc(at_col, b, one_tn);
+          expect_bitwise(Matrix::from_rows(1, s.n, all_tn.row(r)), one_tn,
+                         "tn row " + std::to_string(r) + " " + what);
+        }
+      }
     }
   }
 }

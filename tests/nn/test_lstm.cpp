@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +18,34 @@ std::vector<std::vector<float>> random_sequence(Rng& rng, std::size_t steps,
     for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   return xs;
+}
+
+/// Random non-empty code rows (nn/codes.hpp): each column active with
+/// probability 1/2.
+std::vector<CodeRow> random_codes(Rng& rng, std::size_t steps,
+                                  std::size_t dim) {
+  std::vector<CodeRow> xs(steps);
+  for (CodeRow& x : xs) {
+    while (x.empty()) {
+      for (std::uint32_t c = 0; c < dim; ++c) {
+        if (rng.bernoulli(0.5)) x.push_back(c);
+      }
+    }
+  }
+  return xs;
+}
+
+std::vector<float> one_hot(const CodeRow& codes, std::size_t dim) {
+  std::vector<float> x(dim, 0.0f);
+  for (const std::uint32_t c : codes) x[c] = 1.0f;
+  return x;
+}
+
+void expect_bitwise(std::span<const float> a, std::span<const float> b,
+                    const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+      << what;
 }
 
 TEST(LstmCell, RejectsZeroDims) {
@@ -140,12 +169,45 @@ TEST(StackedLstm, ShapesChainAcrossLayers) {
   EXPECT_EQ(stack.output_dim(), 3u);
 }
 
+TEST(LstmCell, CodeStepIsTheDenseOneHotStepBitwise) {
+  Rng rng(25);
+  const std::size_t I = 11;
+  const std::size_t H = 5;
+  LstmCell dense(I, H);
+  dense.init_params(rng);
+  LstmCell coded = dense;
+  const std::vector<float> h0 = random_sequence(rng, 1, H)[0];
+  const std::vector<float> c0 = random_sequence(rng, 1, H)[0];
+  const std::vector<float> dh = random_sequence(rng, 1, H)[0];
+  const std::vector<float> dc = random_sequence(rng, 1, H)[0];
+  for (const CodeRow& codes : random_codes(rng, 8, I)) {
+    LstmStepCache dc_cache;
+    LstmStepCache cc_cache;
+    dense.forward(one_hot(codes, I), h0, c0, dc_cache);
+    coded.forward(codes, h0, c0, cc_cache);
+    expect_bitwise(dc_cache.h, cc_cache.h, "h");
+    expect_bitwise(dc_cache.c, cc_cache.c, "c");
+
+    std::vector<float> dx(I), dh_prev_d(H), dc_prev_d(H), dh_prev_c(H),
+        dc_prev_c(H);
+    dense.backward(dc_cache, dh, dc, dx, dh_prev_d, dc_prev_d);
+    coded.backward(cc_cache, dh, dc, dh_prev_c, dc_prev_c);
+    expect_bitwise(dh_prev_d, dh_prev_c, "dh_prev");
+    expect_bitwise(dc_prev_d, dc_prev_c, "dc_prev");
+    // Gradients accumulate across the loop: every step's sum must agree.
+    expect_bitwise({dense.grad_w().data(), dense.grad_w().size()},
+                   {coded.grad_w().data(), coded.grad_w().size()}, "grad_w");
+    expect_bitwise({dense.grad_u().data(), dense.grad_u().size()},
+                   {coded.grad_u().data(), coded.grad_u().size()}, "grad_u");
+  }
+}
+
 TEST(StackedLstm, StreamingMatchesSequence) {
   Rng rng(15);
   const std::vector<std::size_t> dims = {6, 4};
   StackedLstm stack(3, dims);
   stack.init_params(rng);
-  const auto xs = random_sequence(rng, 10, 3);
+  const auto xs = random_codes(rng, 10, 3);
 
   StackedLstmCache cache;
   const auto seq_out = stack.forward_sequence(xs, cache);
@@ -172,7 +234,7 @@ TEST(StackedLstm, ZeroGradsClearsAccumulation) {
   const std::vector<std::size_t> dims = {4};
   StackedLstm stack(3, dims);
   stack.init_params(rng);
-  const auto xs = random_sequence(rng, 6, 3);
+  const auto xs = random_codes(rng, 6, 3);
   StackedLstmCache cache;
   const auto out = stack.forward_sequence(xs, cache);
   std::vector<std::vector<float>> dh(out.size(), std::vector<float>(4, 1.0f));

@@ -10,16 +10,15 @@
 namespace mlad::nn {
 namespace {
 
-/// Build a deterministic cyclic task: one-hot class t predicts class (t+1)%C.
+/// Build a deterministic cyclic task: one-hot class t (as the code row
+/// {t % C}) predicts class (t+1)%C.
 void cyclic_fragment(std::size_t classes, std::size_t steps,
-                     std::vector<std::vector<float>>& xs,
+                     std::vector<CodeRow>& xs,
                      std::vector<std::size_t>& targets) {
   xs.clear();
   targets.clear();
   for (std::size_t t = 0; t < steps; ++t) {
-    std::vector<float> x(classes, 0.0f);
-    x[t % classes] = 1.0f;
-    xs.push_back(std::move(x));
+    xs.push_back({static_cast<std::uint32_t>(t % classes)});
     targets.push_back((t + 1) % classes);
   }
 }
@@ -53,7 +52,7 @@ TEST(SequenceModel, LearnsCyclicSequence) {
   Rng rng(42);
   model.init_params(rng);
 
-  std::vector<std::vector<float>> xs;
+  std::vector<CodeRow> xs;
   std::vector<std::size_t> targets;
   cyclic_fragment(5, 40, xs, targets);
 
@@ -83,7 +82,7 @@ TEST(SequenceModel, EvaluateMatchesTrainForwardLoss) {
   Rng rng(9);
   model.init_params(rng);
 
-  std::vector<std::vector<float>> xs = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
+  std::vector<CodeRow> xs = {{0}, {1}, {2}};
   std::vector<std::size_t> targets = {1, 2, 3};
   const double eval_loss = model.evaluate_fragment(xs, targets);
   model.zero_grads();
@@ -100,12 +99,10 @@ TEST(SequenceModel, TopKMissesMonotoneInK) {
   Rng rng(13);
   model.init_params(rng);
 
-  std::vector<std::vector<float>> xs;
+  std::vector<CodeRow> xs;
   std::vector<std::size_t> targets;
   for (int t = 0; t < 30; ++t) {
-    std::vector<float> x(4, 0.0f);
-    x[t % 4] = 1.0f;
-    xs.push_back(x);
+    xs.push_back({static_cast<std::uint32_t>(t % 4)});
     targets.push_back(static_cast<std::size_t>(t * 7 % 6));
   }
   std::size_t prev = xs.size() + 1;
@@ -126,7 +123,7 @@ TEST(SequenceModel, StreamingPredictMatchesSequenceProbabilities) {
   Rng rng(21);
   model.init_params(rng);
 
-  std::vector<std::vector<float>> xs = {{0.5f, 0, 0}, {0, 0.5f, 0}, {0, 0, 0.5f}};
+  std::vector<CodeRow> xs = {{0}, {1, 2}, {2}};
   // Streaming twice must produce identical outputs (pure function of state).
   auto s1 = model.make_state();
   auto s2 = model.make_state();
@@ -154,9 +151,26 @@ TEST(SequenceModel, TrainFragmentValidatesLengths) {
   cfg.num_classes = 2;
   cfg.hidden_dims = {3};
   SequenceModel model(cfg);
-  std::vector<std::vector<float>> xs = {{1, 0}};
+  std::vector<CodeRow> xs = {{0}};
   std::vector<std::size_t> targets = {0, 1};
   EXPECT_THROW(model.train_fragment(xs, targets), std::invalid_argument);
+}
+
+TEST(SequenceModel, RefusesCodesOutOfRangeOrOutOfOrder) {
+  SequenceModelConfig cfg;
+  cfg.input_dim = 3;
+  cfg.num_classes = 2;
+  cfg.hidden_dims = {3};
+  SequenceModel model(cfg);
+  auto state = model.make_state();
+  std::vector<float> probs;
+  const std::vector<CodeRow> bad = {{3}, {2, 1}, {1, 1}};
+  for (const CodeRow& codes : bad) {
+    EXPECT_THROW(model.predict(state, codes, probs), std::invalid_argument);
+  }
+  CodeMatrix x;
+  x.clear(3);
+  EXPECT_THROW(x.push_row(bad[0]), std::invalid_argument);
 }
 
 }  // namespace

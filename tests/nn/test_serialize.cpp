@@ -36,8 +36,10 @@ TEST(Serialize, RoundTripPreservesPredictions) {
   auto s2 = loaded.make_state();
   std::vector<float> p1, p2;
   for (int t = 0; t < 10; ++t) {
-    std::vector<float> x(6);
-    for (auto& v : x) v = static_cast<float>(rng.uniform(-1, 1));
+    CodeRow x;
+    for (std::uint32_t c = 0; c < 6; ++c) {
+      if (rng.bernoulli(0.5)) x.push_back(c);
+    }
     original.predict(s1, x, p1);
     loaded.predict(s2, x, p2);
     ASSERT_EQ(p1.size(), p2.size());

@@ -96,5 +96,56 @@ TEST(TopK, EdgeCases) {
   EXPECT_TRUE(in_top_k(probs, 1, 2));    // k == size
 }
 
+TEST(TopK, RankBelowKIffInTopK) {
+  // Property: for random rows with values forced to tie the target's from
+  // lower AND higher indices, rank < k ⇔ in_top_k at every k in 0..C+1,
+  // and for targets at or past C (never in S(k)).
+  Rng rng(404);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t C = 1 + rng.index(12);
+    std::vector<float> probs(C);
+    // A few distinct levels so ties are common even without forcing.
+    for (float& p : probs) p = static_cast<float>(rng.index(4)) * 0.25f;
+    const std::size_t target = rng.index(C + 2);  // C, C+1: absent
+    if (target < C) {
+      for (std::size_t i = 0; i < C; ++i) {
+        if (i != target && rng.bernoulli(0.3)) probs[i] = probs[target];
+      }
+      if (target > 0) probs[rng.index(target)] = probs[target];
+      if (target + 1 < C) {
+        probs[target + 1 + rng.index(C - target - 1)] = probs[target];
+      }
+    }
+    const std::size_t rank = top_k_rank(probs, target);
+    if (target >= C) {
+      EXPECT_EQ(rank, kNoRank);
+    }
+    for (std::size_t k = 0; k <= C + 1; ++k) {
+      EXPECT_EQ(rank < k, in_top_k(probs, target, k))
+          << "C=" << C << " target=" << target << " k=" << k
+          << " rank=" << rank;
+    }
+  }
+}
+
+TEST(TopK, ErrorCurveCountsAbsentTargetsAsMisses) {
+  TopKErrorCurve curve(3);
+  const std::vector<float> probs = {0.5f, 0.3f, 0.2f};
+  curve.add(probs, 0);             // rank 0
+  curve.add(probs, 2);             // rank 2
+  curve.add(probs, std::nullopt);  // not in the database
+  curve.add(probs, 7);             // past C
+  const std::vector<double> err = curve.errors();
+  ASSERT_EQ(err.size(), 3u);
+  EXPECT_DOUBLE_EQ(err[0], 3.0 / 4.0);
+  EXPECT_DOUBLE_EQ(err[1], 3.0 / 4.0);
+  EXPECT_DOUBLE_EQ(err[2], 2.0 / 4.0);
+  EXPECT_DOUBLE_EQ(curve.error(0), 1.0);
+  EXPECT_EQ(smallest_k_below(err, 0.6), 3u);
+  EXPECT_EQ(smallest_k_below(err, 0.5), 3u);  // none below: the bound
+  EXPECT_EQ(smallest_k_below(err, 0.8), 1u);
+  EXPECT_DOUBLE_EQ(TopKErrorCurve(2).error(2), 0.0);  // no steps
+}
+
 }  // namespace
 }  // namespace mlad::nn

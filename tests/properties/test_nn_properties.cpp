@@ -30,11 +30,13 @@ TEST_P(GradSweep, AnalyticMatchesNumeric) {
   Rng rng(p.input_dim * 131 + p.num_classes);
   model.init_params(rng);
 
-  std::vector<std::vector<float>> xs;
+  std::vector<CodeRow> xs;
   std::vector<std::size_t> targets;
   for (std::size_t t = 0; t < p.steps; ++t) {
-    std::vector<float> x(p.input_dim);
-    for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    CodeRow x;
+    for (std::uint32_t c = 0; c < p.input_dim; ++c) {
+      if (rng.bernoulli(0.5)) x.push_back(c);
+    }
     xs.push_back(std::move(x));
     targets.push_back(rng.index(p.num_classes));
   }
@@ -73,8 +75,9 @@ TEST_P(GradSweep, LossIsFiniteAndPositive) {
   SequenceModel model(cfg);
   Rng rng(99);
   model.init_params(rng);
-  std::vector<std::vector<float>> xs(p.steps,
-                                     std::vector<float>(p.input_dim, 0.5f));
+  CodeRow all(p.input_dim);
+  for (std::uint32_t c = 0; c < p.input_dim; ++c) all[c] = c;
+  std::vector<CodeRow> xs(p.steps, all);
   std::vector<std::size_t> targets(p.steps, 0);
   const double loss = model.evaluate_fragment(xs, targets);
   EXPECT_TRUE(std::isfinite(loss));
