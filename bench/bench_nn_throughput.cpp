@@ -1,36 +1,32 @@
-// Batched-vs-sequential throughput of the NN engine (DESIGN.md §6): trains
-// the bench LSTM workload through (a) the sequential per-window reference
-// trainer, (b) the batched engine on one thread, and (c) the batched engine
-// on all cores, then scores the test stream through the sequential and the
-// sharded parallel evaluator. Verifies on the way that the determinism
-// contract holds (identical losses / confusion across thread counts).
+// Batched-vs-sequential throughput of the NN engine (DESIGN.md §6): times
+// the scalar vs SIMD kernel backends, trains the bench LSTM workload through
+// (a) the sequential per-window reference trainer, (b) the batched engine on
+// one thread, and (c) the batched engine on all cores, times sharded
+// multi-capture training against the per-capture baseline (DESIGN.md §11),
+// then scores the test stream through the single-stream and the batched
+// multi-stream evaluator. Verifies on the way that the determinism contract
+// holds (identical losses / confusion across thread counts, and across
+// capture orders for every kernel backend).
 //
 // Output: a human table on stdout, and with `--json out.json` a
-// machine-readable record (BENCH_nn.json in the repo root is a committed
-// baseline produced by this binary).
+// machine-readable record (BENCH_nn.json in the repo root is the committed
+// record produced by this binary, checked by tools/check_bench_json.py).
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "adapt/online_trainer.hpp"
 #include "bench_common.hpp"
 #include "common/cpu_features.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "detect/combined.hpp"
 #include "detect/package_detector.hpp"
-#include "detect/serialize.hpp"
 #include "detect/timeseries_detector.hpp"
-#include "ics/capture.hpp"
 #include "ics/features.hpp"
-#include "ics/link_mux.hpp"
 #include "nn/kernel_backend.hpp"
 #include "nn/kernels.hpp"
-#include "reference_monitor.hpp"
-#include "serve/monitor_engine.hpp"
 
 namespace {
 
@@ -109,6 +105,13 @@ struct EvalRun {
   double us_per_package = 0.0;
   detect::Confusion confusion;
 };
+
+/// evals[0] (single-stream) µs/package over evals[i]'s.
+double eval_speedup(const std::vector<EvalRun>& evals, std::size_t i) {
+  return evals[i].us_per_package > 0
+             ? evals[0].us_per_package / evals[i].us_per_package
+             : 0.0;
+}
 
 struct Workload {
   std::vector<detect::DiscreteFragment> train_frags;
@@ -369,322 +372,11 @@ ConsolidationRun bench_train_consolidation(
   return out;
 }
 
-void write_train_json(const char* path, const bench::Scale& scale,
-                      std::size_t hw_threads, const ConsolidationRun& run) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"bench_nn_throughput\",\n");
-  std::fprintf(f, "  \"scale\": \"%s\",\n", scale.name);
-  std::fprintf(f, "  \"hardware_threads\": %zu,\n", hw_threads);
-  std::fprintf(f, "  \"cpu\": \"%s\",\n", cpu_feature_summary().c_str());
-  std::fprintf(f, "  \"default_kernel_backend\": \"%s\",\n",
-               nn::kernel_backend().name);
-  std::fprintf(f, "  \"train_consolidation\": {\n");
-  std::fprintf(f, "    \"captures\": %zu,\n", run.captures);
-  std::fprintf(f, "    \"lanes\": %zu,\n", run.lanes);
-  std::fprintf(f, "    \"rounds\": %zu,\n", run.rounds);
-  std::fprintf(f, "    \"windows_per_capture\": %zu,\n",
-               run.windows_per_capture);
-  std::fprintf(f, "    \"bptt_steps\": %zu,\n", run.bptt_steps);
-  std::fprintf(f, "    \"backends\": {\n");
-  for (std::size_t i = 0; i < run.backends.size(); ++i) {
-    std::fprintf(f,
-                 "      \"%s\": {\"losses_bit_identical_across_threads_"
-                 "and_orders\": %s}%s\n",
-                 run.backends[i].backend.c_str(),
-                 run.backends[i].bit_identical ? "true" : "false",
-                 i + 1 < run.backends.size() ? "," : "");
-  }
-  std::fprintf(f, "    },\n");
-  std::fprintf(f, "    \"all_backends_bit_identical\": %s,\n",
-               run.all_backends_identical ? "true" : "false");
-  std::fprintf(f, "    \"sequential_per_capture_s\": %.4f,\n",
-               run.sequential_s);
-  std::fprintf(f, "    \"sharded_wall_s\": %.4f,\n", run.sharded_wall_s);
-  std::fprintf(f, "    \"sharded_critical_path_s\": %.4f,\n",
-               run.sharded_critical_path_s);
-  std::fprintf(f, "    \"transpose_calls_per_round_sequential\": %llu,\n",
-               static_cast<unsigned long long>(
-                   run.transpose_calls_per_round_sequential));
-  std::fprintf(f, "    \"transpose_calls_per_round_sharded\": %llu,\n",
-               static_cast<unsigned long long>(
-                   run.transpose_calls_per_round_sharded));
-  std::fprintf(f, "    \"transpose_calls_reduction\": %.2f,\n",
-               run.transpose_reduction);
-  std::fprintf(f, "    \"criterion\": {\n");
-  std::fprintf(f, "      \"required_speedup_4lanes\": %.2f,\n",
-               run.required_speedup);
-  std::fprintf(f, "      \"measured_speedup_4lanes\": %.3f,\n", run.speedup);
-  std::fprintf(f, "      \"met\": %s\n", run.met ? "true" : "false");
-  std::fprintf(f, "    }\n");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-}
-
-// ---- multi-link serve engine (DESIGN.md §8) --------------------------------
-
-struct ServeRun {
-  std::size_t links = 0;
-  std::uint64_t packages = 0;
-  std::uint64_t alarms = 0;
-  double batched_us = 0.0;    ///< µs/package, lockstep StreamBatch ticks
-  double reference_us = 0.0;  ///< µs/package, N per-package monitors
-  double speedup = 0.0;
-  bool isolated_match = true; ///< merged per-link alarms == isolated runs
-};
-
-std::vector<ServeRun> bench_serve(const detect::CombinedDetector& detector) {
-  std::vector<ServeRun> runs;
-  for (const std::size_t links : {1u, 8u, 32u}) {
-    // One short attack-traffic capture per link (distinct seeds), sized so
-    // every configuration classifies a similar package total.
-    std::vector<ics::Capture> captures;
-    for (std::size_t i = 0; i < links; ++i) {
-      ics::SimulatorConfig cfg;
-      cfg.cycles = std::max<std::size_t>(2400 / links, 75);
-      cfg.seed = 9000 + i;
-      ics::GasPipelineSimulator sim(cfg);
-      const ics::SimulationResult result = sim.run();
-      ics::Capture capture;
-      capture.reserve(result.packages.size());
-      for (const auto& p : result.packages) {
-        capture.push_back(ics::package_to_frame(p));
-      }
-      captures.push_back(std::move(capture));
-    }
-    const std::vector<ics::LinkFrame> wire = ics::merge_captures(captures);
-
-    const auto run_engine = [&](serve::AlarmSink* sink) {
-      serve::MonitorEngine engine(detector, sink);
-      engine.replay(wire);
-      return engine.stats();
-    };
-    // Warm one batched pass (kernel dispatch, page-in), then measure.
-    run_engine(nullptr);
-
-    ServeRun run;
-    run.links = links;
-    serve::CountingAlarmSink merged_sink;
-    const serve::EngineStats batched = run_engine(&merged_sink);
-    const serve::EngineStats reference =
-        serve::reference_replay(detector, wire);
-    run.packages = batched.packages;
-    run.alarms = batched.alarms;
-    run.batched_us = batched.us_per_package();
-    run.reference_us = reference.us_per_package();
-    run.speedup =
-        run.batched_us > 0 ? run.reference_us / run.batched_us : 0.0;
-
-    // Acceptance cross-check: every link's merged alarm sequence must equal
-    // its isolated single-link batched run (bitwise stream independence).
-    for (std::size_t i = 0; i < links && run.isolated_match; ++i) {
-      serve::CountingAlarmSink iso_sink;
-      serve::MonitorEngine engine(detector, &iso_sink);
-      for (const ics::RawFrame& frame : captures[i]) engine.push(0, frame);
-      engine.finish();
-      std::size_t seen = 0;
-      for (const serve::AlarmEvent& e : merged_sink.events()) {
-        if (e.link != i) continue;
-        if (seen >= iso_sink.count()) { run.isolated_match = false; break; }
-        const serve::AlarmEvent& want = iso_sink.events()[seen++];
-        if (e.seq != want.seq || e.time != want.time ||
-            e.verdict.package_level != want.verdict.package_level) {
-          run.isolated_match = false;
-          break;
-        }
-      }
-      if (seen != iso_sink.count()) run.isolated_match = false;
-    }
-
-    std::printf("  serve %2zu links   batched %7.2f us/pkg   reference "
-                "%7.2f us/pkg   %5.2fx   (%llu packages, %llu alarms, "
-                "isolated-match %s)\n",
-                run.links, run.batched_us, run.reference_us, run.speedup,
-                static_cast<unsigned long long>(run.packages),
-                static_cast<unsigned long long>(run.alarms),
-                run.isolated_match ? "yes" : "NO — INDEPENDENCE BUG");
-    runs.push_back(run);
-  }
-  return runs;
-}
-
-// ---- online adaptation (DESIGN.md §9) --------------------------------------
-
-struct AdaptRun {
-  std::size_t links = 0;
-  std::uint64_t packages = 0;
-  double off_us = 0.0;       ///< µs/package, adaptation disabled
-  double on_us = 0.0;        ///< µs/package, adaptation on (same wire)
-  double overhead_pct = 0.0; ///< tick-path cost of adaptation
-  // classify_us deliberately excludes boundary waits and (on a 1-core
-  // host) the idle-priority trainer's own CPU, so the end-to-end replay
-  // wall time and the measured boundary-wait total are reported alongside
-  // — a slow training round cannot hide from these.
-  double wall_off_s = 0.0;   ///< whole replay(), adaptation disabled
-  double wall_on_s = 0.0;    ///< whole replay(), adaptation on
-  double wall_overhead_pct = 0.0;
-  double boundary_wait_s = 0.0;  ///< EngineStats::adapt_us total
-  std::uint64_t swaps = 0;
-  std::uint64_t windows_harvested = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t train_steps = 0;
-  double train_seconds = 0.0;
-  // The wire is anomaly-free, so every alarm is a false alarm; the
-  // acceptance criterion is adapted_lstm_fp <= frozen_lstm_fp (the Bloom
-  // stage is untouched by adaptation and must match exactly).
-  std::uint64_t frozen_lstm_fp = 0;
-  std::uint64_t adapted_lstm_fp = 0;
-  std::uint64_t frozen_bloom_fp = 0;
-  std::uint64_t adapted_bloom_fp = 0;
-};
-
-AdaptRun bench_adapt(const detect::CombinedDetector& detector,
-                     const Workload& wl) {
-  // A converged frozen model (the sections above deliberately undertrain
-  // for speed; an undertrained model false-alarms so often that no
-  // verdict-clean window could ever be harvested).
-  detect::TimeSeriesConfig ts_cfg;
-  ts_cfg.hidden_dims = {64};
-  ts_cfg.epochs = 24;
-  ts_cfg.truncate_steps = 48;
-  ts_cfg.batch_size = 16;
-  Rng ts_rng(99);
-  const detect::PackageLevelDetector& pkg = detector.package_level();
-  auto pkg_copy = std::make_unique<detect::PackageLevelDetector>(
-      pkg.discretizer(), pkg.database(), pkg.bloom());
-  auto ts = std::make_unique<detect::TimeSeriesDetector>(
-      pkg_copy->database(), pkg_copy->discretizer().cardinalities(), ts_cfg,
-      ts_rng);
-  ts->train(wl.train_frags, ts_rng);
-  ts->choose_k(wl.val_frags);
-  std::string model_bytes;
-  {
-    const detect::CombinedDetector combined(std::move(pkg_copy),
-                                            std::move(ts));
-    std::ostringstream out;
-    detect::save_framework(out, combined);
-    model_bytes = out.str();
-  }
-
-  // 8 anomaly-free links whose plant has drifted: same signature
-  // vocabulary, much busier supervisory schedule.
-  AdaptRun run;
-  run.links = 8;
-  std::vector<ics::Capture> captures;
-  for (std::size_t i = 0; i < run.links; ++i) {
-    ics::SimulatorConfig cfg;
-    cfg.cycles = 1200;
-    cfg.seed = 9100 + i;
-    cfg.attacks_enabled = false;
-    cfg.setpoint_change_prob = 0.06;
-    cfg.manual_episode_prob = 0.03;
-    cfg.manual_episode_cycles = 12;
-    ics::GasPipelineSimulator sim(cfg);
-    const ics::SimulationResult result = sim.run();
-    ics::Capture capture;
-    capture.reserve(result.packages.size());
-    for (const auto& p : result.packages) {
-      capture.push_back(ics::package_to_frame(p));
-    }
-    captures.push_back(std::move(capture));
-  }
-  const std::vector<ics::LinkFrame> wire = ics::merge_captures(captures);
-
-  const auto load = [&] {
-    std::istringstream in(model_bytes);
-    return detect::load_framework(in);
-  };
-
-  // Frozen pass (warm once for kernel dispatch / page-in, then measure).
-  {
-    const auto warm = load();
-    serve::MonitorEngine engine(*warm, nullptr);
-    engine.replay(wire);
-  }
-  const auto frozen = load();
-  serve::MonitorEngine frozen_engine(*frozen, nullptr);
-  Stopwatch frozen_sw;
-  frozen_engine.replay(wire);
-  run.wall_off_s = frozen_sw.elapsed_seconds();
-  run.packages = frozen_engine.stats().packages;
-  run.off_us = frozen_engine.stats().us_per_package();
-  run.frozen_lstm_fp = frozen_engine.stats().timeseries_level_alarms;
-  run.frozen_bloom_fp = frozen_engine.stats().package_level_alarms;
-
-  // Adaptive pass over the same wire.
-  const auto adaptive = load();
-  adapt::AdaptConfig acfg;
-  acfg.window_len = 8;
-  acfg.replay_capacity = 96;
-  acfg.min_windows = 8;
-  acfg.epochs_per_round = 1;
-  acfg.max_steps_per_round = 448;  // bounds the 1-core CPU bite per round
-  acfg.batch_size = 8;
-  acfg.micro_batch = 4;
-  acfg.threads = 1;
-  acfg.seed = 1;
-  adapt::OnlineTrainer trainer(*adaptive, acfg);
-  serve::MonitorEngineConfig cfg;
-  cfg.adapter = &trainer;
-  cfg.adapt_interval = 600;
-  serve::MonitorEngine engine(*adaptive, nullptr, cfg);
-  Stopwatch adapt_sw;
-  engine.replay(wire);
-  run.wall_on_s = adapt_sw.elapsed_seconds();
-  run.on_us = engine.stats().us_per_package();
-  run.overhead_pct =
-      run.off_us > 0 ? 100.0 * (run.on_us - run.off_us) / run.off_us : 0.0;
-  run.wall_overhead_pct =
-      run.wall_off_s > 0
-          ? 100.0 * (run.wall_on_s - run.wall_off_s) / run.wall_off_s
-          : 0.0;
-  run.boundary_wait_s = engine.stats().adapt_us * 1e-6;
-  run.swaps = engine.stats().model_swaps;
-  run.adapted_lstm_fp = engine.stats().timeseries_level_alarms;
-  run.adapted_bloom_fp = engine.stats().package_level_alarms;
-  const adapt::AdaptStats astats = trainer.stats();
-  run.windows_harvested = astats.windows_harvested;
-  run.rounds = astats.rounds_completed;
-  run.train_steps = astats.train_steps;
-  run.train_seconds = astats.train_seconds;
-
-  std::printf(
-      "  adapt %2zu links   off %6.2f us/pkg   on %6.2f us/pkg   "
-      "overhead %+5.1f%%   (%llu swaps, %llu windows, %llu train steps)\n",
-      run.links, run.off_us, run.on_us, run.overhead_pct,
-      static_cast<unsigned long long>(run.swaps),
-      static_cast<unsigned long long>(run.windows_harvested),
-      static_cast<unsigned long long>(run.train_steps));
-  std::printf(
-      "  adapt end-to-end wall: %.3f s -> %.3f s (%+.1f%%; includes the "
-      "idle-priority trainer's whole CPU on this %zu-core host), "
-      "boundary waits %.4f s\n",
-      run.wall_off_s, run.wall_on_s, run.wall_overhead_pct,
-      ThreadPool::hardware_threads(), run.boundary_wait_s);
-  std::printf(
-      "  adapt false alarms on anomaly-free drifted wire: lstm %llu -> "
-      "%llu   bloom %llu -> %llu   (%s)\n",
-      static_cast<unsigned long long>(run.frozen_lstm_fp),
-      static_cast<unsigned long long>(run.adapted_lstm_fp),
-      static_cast<unsigned long long>(run.frozen_bloom_fp),
-      static_cast<unsigned long long>(run.adapted_bloom_fp),
-      run.adapted_lstm_fp <= run.frozen_lstm_fp
-          ? "adapted <= frozen"
-          : "ADAPTED WORSE — REGRESSION");
-  return run;
-}
-
 void write_json(const char* path, const bench::Scale& scale,
                 std::size_t hw_threads, const std::vector<KernelRun>& kernels,
                 const std::vector<TrainRun>& trains,
-                const std::vector<EvalRun>& evals,
-                const std::vector<ServeRun>& serves, const AdaptRun& adapt,
-                bool losses_identical, bool confusion_identical,
+                const ConsolidationRun& tc,
+                const std::vector<EvalRun>& evals, bool losses_identical,
                 bool streams_identical) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -729,6 +421,45 @@ void write_json(const char* path, const bench::Scale& scale,
   std::fprintf(f, "    \"epoch_losses_identical_across_threads\": %s\n",
                losses_identical ? "true" : "false");
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"train_consolidation\": {\n");
+  std::fprintf(f, "    \"captures\": %zu,\n", tc.captures);
+  std::fprintf(f, "    \"lanes\": %zu,\n", tc.lanes);
+  std::fprintf(f, "    \"rounds\": %zu,\n", tc.rounds);
+  std::fprintf(f, "    \"windows_per_capture\": %zu,\n",
+               tc.windows_per_capture);
+  std::fprintf(f, "    \"bptt_steps\": %zu,\n", tc.bptt_steps);
+  std::fprintf(f, "    \"backends\": {\n");
+  for (std::size_t i = 0; i < tc.backends.size(); ++i) {
+    std::fprintf(f,
+                 "      \"%s\": {\"losses_bit_identical_across_threads_"
+                 "and_orders\": %s}%s\n",
+                 tc.backends[i].backend.c_str(),
+                 tc.backends[i].bit_identical ? "true" : "false",
+                 i + 1 < tc.backends.size() ? "," : "");
+  }
+  std::fprintf(f, "    },\n");
+  std::fprintf(f, "    \"all_backends_bit_identical\": %s,\n",
+               tc.all_backends_identical ? "true" : "false");
+  std::fprintf(f, "    \"sequential_per_capture_s\": %.4f,\n",
+               tc.sequential_s);
+  std::fprintf(f, "    \"sharded_wall_s\": %.4f,\n", tc.sharded_wall_s);
+  std::fprintf(f, "    \"sharded_critical_path_s\": %.4f,\n",
+               tc.sharded_critical_path_s);
+  std::fprintf(f, "    \"transpose_calls_per_round_sequential\": %llu,\n",
+               static_cast<unsigned long long>(
+                   tc.transpose_calls_per_round_sequential));
+  std::fprintf(f, "    \"transpose_calls_per_round_sharded\": %llu,\n",
+               static_cast<unsigned long long>(
+                   tc.transpose_calls_per_round_sharded));
+  std::fprintf(f, "    \"transpose_calls_reduction\": %.2f,\n",
+               tc.transpose_reduction);
+  std::fprintf(f, "    \"criterion\": {\n");
+  std::fprintf(f, "      \"required_speedup_4lanes\": %.2f,\n",
+               tc.required_speedup);
+  std::fprintf(f, "      \"measured_speedup_4lanes\": %.3f,\n", tc.speedup);
+  std::fprintf(f, "      \"met\": %s\n", tc.met ? "true" : "false");
+  std::fprintf(f, "    }\n");
+  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"eval\": {\n");
   for (const EvalRun& r : evals) {
     std::fprintf(f,
@@ -737,80 +468,12 @@ void write_json(const char* path, const bench::Scale& scale,
                  r.name.c_str(), r.us_per_package, r.confusion.tp,
                  r.confusion.tn, r.confusion.fp, r.confusion.fn);
   }
-  const auto eval_by_prefix = [&evals](const char* prefix) -> const EvalRun* {
-    for (const EvalRun& r : evals) {
-      if (r.name.rfind(prefix, 0) == 0) return &r;
-    }
-    return nullptr;
-  };
-  const double single_us = evals.front().us_per_package;
-  if (const EvalRun* r = eval_by_prefix("sharded(threads=all)")) {
-    std::fprintf(f, "    \"speedup_sharded_all_threads\": %.3f,\n",
-                 r->us_per_package > 0 ? single_us / r->us_per_package : 0.0);
-  }
-  if (const EvalRun* r = eval_by_prefix("streams(S=8")) {
-    std::fprintf(f, "    \"speedup_streams8_vs_single\": %.3f,\n",
-                 r->us_per_package > 0 ? single_us / r->us_per_package : 0.0);
-  }
-  if (const EvalRun* r = eval_by_prefix("streams(S=32")) {
-    std::fprintf(f, "    \"speedup_streams32_vs_single\": %.3f,\n",
-                 r->us_per_package > 0 ? single_us / r->us_per_package : 0.0);
-  }
-  std::fprintf(f, "    \"confusion_identical_across_threads\": %s,\n",
-               confusion_identical ? "true" : "false");
+  std::fprintf(f, "    \"speedup_streams8_vs_single\": %.3f,\n",
+               eval_speedup(evals, 1));
+  std::fprintf(f, "    \"speedup_streams32_vs_single\": %.3f,\n",
+               eval_speedup(evals, 2));
   std::fprintf(f, "    \"streams_confusion_identical_across_threads\": %s\n",
                streams_identical ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"serve\": {\n");
-  bool all_isolated = true;
-  for (const ServeRun& r : serves) {
-    all_isolated = all_isolated && r.isolated_match;
-    std::fprintf(f,
-                 "    \"links%zu\": {\"packages\": %llu, \"alarms\": %llu, "
-                 "\"batched_us_per_package\": %.3f, "
-                 "\"reference_us_per_package\": %.3f, "
-                 "\"speedup_batched_vs_reference\": %.3f},\n",
-                 r.links, static_cast<unsigned long long>(r.packages),
-                 static_cast<unsigned long long>(r.alarms), r.batched_us,
-                 r.reference_us, r.speedup);
-  }
-  std::fprintf(f, "    \"per_link_verdicts_match_isolated\": %s\n",
-               all_isolated ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"adapt\": {\n");
-  std::fprintf(f, "    \"links\": %zu,\n", adapt.links);
-  std::fprintf(f, "    \"packages\": %llu,\n",
-               static_cast<unsigned long long>(adapt.packages));
-  std::fprintf(f, "    \"off_us_per_package\": %.3f,\n", adapt.off_us);
-  std::fprintf(f, "    \"on_us_per_package\": %.3f,\n", adapt.on_us);
-  std::fprintf(f, "    \"tick_path_overhead_pct\": %.2f,\n",
-               adapt.overhead_pct);
-  std::fprintf(f, "    \"wall_off_seconds\": %.4f,\n", adapt.wall_off_s);
-  std::fprintf(f, "    \"wall_on_seconds\": %.4f,\n", adapt.wall_on_s);
-  std::fprintf(f, "    \"wall_overhead_pct\": %.2f,\n",
-               adapt.wall_overhead_pct);
-  std::fprintf(f, "    \"boundary_wait_seconds\": %.4f,\n",
-               adapt.boundary_wait_s);
-  std::fprintf(f, "    \"swaps\": %llu,\n",
-               static_cast<unsigned long long>(adapt.swaps));
-  std::fprintf(f, "    \"windows_harvested\": %llu,\n",
-               static_cast<unsigned long long>(adapt.windows_harvested));
-  std::fprintf(f, "    \"rounds\": %llu,\n",
-               static_cast<unsigned long long>(adapt.rounds));
-  std::fprintf(f, "    \"train_steps\": %llu,\n",
-               static_cast<unsigned long long>(adapt.train_steps));
-  std::fprintf(f, "    \"train_seconds\": %.4f,\n", adapt.train_seconds);
-  std::fprintf(f, "    \"frozen_lstm_false_alarms\": %llu,\n",
-               static_cast<unsigned long long>(adapt.frozen_lstm_fp));
-  std::fprintf(f, "    \"adapted_lstm_false_alarms\": %llu,\n",
-               static_cast<unsigned long long>(adapt.adapted_lstm_fp));
-  std::fprintf(f, "    \"frozen_bloom_false_alarms\": %llu,\n",
-               static_cast<unsigned long long>(adapt.frozen_bloom_fp));
-  std::fprintf(f, "    \"adapted_bloom_false_alarms\": %llu,\n",
-               static_cast<unsigned long long>(adapt.adapted_bloom_fp));
-  std::fprintf(f, "    \"adapted_not_worse_than_frozen\": %s\n",
-               adapt.adapted_lstm_fp <= adapt.frozen_lstm_fp ? "true"
-                                                             : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -820,12 +483,9 @@ void write_json(const char* path, const bench::Scale& scale,
 
 int main(int argc, char** argv) {
   const char* json_path = nullptr;
-  const char* train_json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--train-json") == 0 && i + 1 < argc) {
-      train_json_path = argv[++i];
     }
   }
 
@@ -890,7 +550,7 @@ int main(int argc, char** argv) {
   const ConsolidationRun consolidation =
       bench_train_consolidation(*pkg, wl, scale);
 
-  // ---- evaluation: single stream vs sharded pool ---------------------------
+  // ---- evaluation: single stream vs batched multi-stream ------------------
   auto cfg_eval = ts_config(scale, 16, 0);
   Rng eval_rng(99);
   auto ts = std::make_unique<detect::TimeSeriesDetector>(
@@ -900,71 +560,33 @@ int main(int argc, char** argv) {
   const detect::CombinedDetector detector(std::move(pkg), std::move(ts));
 
   std::vector<EvalRun> evals;
-  const auto eval_once = [&](const char* name, int mode,
-                             std::size_t streams = 1) {
+  const auto eval_once = [&](const char* name, std::size_t threads,
+                             std::size_t streams) {
     EvalRun run;
     run.name = name;
-    detect::EvaluationResult r;
-    if (mode < 0) {
-      r = detect::evaluate_framework(detector, split.test);
-    } else {
-      detect::EvalOptions opts;
-      opts.threads = static_cast<std::size_t>(mode);
-      opts.shard_size = 1024;
-      opts.streams = streams;
-      r = detect::evaluate_framework(detector, split.test, opts);
-    }
+    const detect::EvaluationResult r = detect::evaluate_framework(
+        detector, split.test, {.threads = threads, .streams = streams});
     run.us_per_package = r.avg_classify_us;
     run.confusion = r.confusion;
     std::printf("  eval  %-22s %8.2f us/package   %s\n", name,
                 r.avg_classify_us, detect::to_string(r.confusion).c_str());
     evals.push_back(run);
   };
-  eval_once("single-stream", -1);
-  eval_once("sharded(threads=1)", 1);
-  eval_once("sharded(threads=all)", 0);
+  eval_once("single-stream", 1, 1);
   eval_once("streams(S=8,threads=1)", 1, 8);
   eval_once("streams(S=32,threads=1)", 1, 32);
   eval_once("streams(S=8,threads=all)", 0, 8);
-  const bool confusion_identical =
-      same_confusion(evals[1].confusion, evals[2].confusion);
-  std::printf("  sharded confusion identical across thread counts: %s\n",
-              confusion_identical ? "yes" : "NO — DETERMINISM BUG");
   const bool streams_identical =
-      same_confusion(evals[3].confusion, evals[5].confusion);
+      same_confusion(evals[1].confusion, evals[3].confusion);
   std::printf("  multi-stream confusion identical across thread counts: %s\n",
               streams_identical ? "yes" : "NO — DETERMINISM BUG");
   std::printf(
       "  multi-stream speedup vs single-stream: %.2fx (S=8), %.2fx (S=32)\n",
-      evals[3].us_per_package > 0
-          ? evals[0].us_per_package / evals[3].us_per_package
-          : 0.0,
-      evals[4].us_per_package > 0
-          ? evals[0].us_per_package / evals[4].us_per_package
-          : 0.0);
-
-  // ---- multi-link serve: batched lockstep vs N sequential monitors --------
-  std::printf("serve engine (links × {batched, reference}):\n");
-  const std::vector<ServeRun> serves = bench_serve(detector);
-  bool serve_isolated = true;
-  for (const ServeRun& r : serves) serve_isolated &= r.isolated_match;
-
-  // ---- online adaptation: tick-path overhead + drift false alarms ---------
-  std::printf("adapt subsystem (8-link drifted anomaly-free wire):\n");
-  const AdaptRun adapt_run = bench_adapt(detector, wl);
-  const bool adapt_not_worse =
-      adapt_run.adapted_lstm_fp <= adapt_run.frozen_lstm_fp;
+      eval_speedup(evals, 1), eval_speedup(evals, 2));
 
   if (json_path != nullptr) {
-    write_json(json_path, scale, hw, kernels, trains, evals, serves,
-               adapt_run, losses_identical, confusion_identical,
-               streams_identical);
+    write_json(json_path, scale, hw, kernels, trains, consolidation, evals,
+               losses_identical, streams_identical);
   }
-  if (train_json_path != nullptr) {
-    write_train_json(train_json_path, scale, hw, consolidation);
-  }
-  return (losses_identical && confusion_identical && streams_identical &&
-          serve_isolated && adapt_not_worse && consolidation.met)
-             ? 0
-             : 1;
+  return (losses_identical && streams_identical && consolidation.met) ? 0 : 1;
 }

@@ -83,12 +83,6 @@ class CombinedDetector {
 
   Stream make_stream() const;
 
-  /// Rewind a stream to fresh-state semantics, keeping its buffers (scratch
-  /// reuse across eval shards).
-  void reset_stream(Stream& stream) const {
-    timeseries_->reset_stream(stream.ts);
-  }
-
   /// Classify one package and absorb it into the history (Fig. 3 flow).
   CombinedVerdict classify_and_consume(Stream& stream,
                                        std::span<const double> raw) const;

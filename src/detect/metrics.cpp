@@ -59,14 +59,6 @@ double PerAttackRecall::ratio(ics::AttackType type) const {
                   : 0.0;
 }
 
-PerAttackRecall& PerAttackRecall::operator+=(const PerAttackRecall& other) {
-  for (std::size_t i = 0; i < ics::kAttackTypeCount; ++i) {
-    detected[i] += other.detected[i];
-    total[i] += other.total[i];
-  }
-  return *this;
-}
-
 std::string to_string(const Confusion& c) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "P=%.2f R=%.2f Acc=%.2f F1=%.2f",

@@ -43,9 +43,6 @@ struct PerAttackRecall {
   void record(ics::AttackType type, bool predicted_anomaly);
   /// Detected ratio for one attack type; 0 when the type is absent.
   double ratio(ics::AttackType type) const;
-
-  /// Merge partial counts (sharded evaluation, detect/pipeline.hpp).
-  PerAttackRecall& operator+=(const PerAttackRecall& other);
 };
 
 /// Render "P=0.94 R=0.78 Acc=0.92 F1=0.85" for logs.

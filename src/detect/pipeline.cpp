@@ -10,21 +10,13 @@
 namespace mlad::detect {
 namespace {
 
-/// Score rows [begin, end) as one independent stream into `out`. The
-/// caller owns `stream` (reset between shards) so its scratch buffers are
-/// reused across shards instead of reallocated per shard.
-void evaluate_shard(const CombinedDetector& detector,
-                    std::span<const ics::Package> test,
-                    std::span<const sig::RawRow> rows, std::size_t begin,
-                    std::size_t end, CombinedDetector::Stream& stream,
-                    EvaluationResult& out) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const CombinedVerdict v = detector.classify_and_consume(stream, rows[i]);
-    out.confusion.record(test[i].is_attack(), v.anomaly);
-    out.per_attack.record(test[i].label, v.anomaly);
-    if (v.package_level) ++out.package_level_alarms;
-    if (v.timeseries_level) ++out.timeseries_level_alarms;
-  }
+/// Count one scored package into `out`.
+void record(EvaluationResult& out, const ics::Package& package,
+            const CombinedVerdict& verdict) {
+  out.confusion.record(package.is_attack(), verdict.anomaly);
+  out.per_attack.record(package.label, verdict.anomaly);
+  if (verdict.package_level) ++out.package_level_alarms;
+  if (verdict.timeseries_level) ++out.timeseries_level_alarms;
 }
 
 /// Batched multi-stream evaluation: cut the test stream into S contiguous
@@ -48,7 +40,7 @@ EvaluationResult evaluate_multistream(const CombinedDetector& detector,
   Stopwatch sw;
   PoolHandle pool(options.threads);
   StreamBatch batch(detector, S, pool.get());
-  std::vector<EvaluationResult> partials(S);
+  EvaluationResult result;
   std::vector<std::span<const double>> tick(S);
   std::vector<CombinedVerdict> verdicts;
   std::size_t active = S;
@@ -58,21 +50,8 @@ EvaluationResult evaluate_multistream(const CombinedDetector& detector,
     for (std::size_t s = 0; s < active; ++s) tick[s] = rows[offset[s] + t];
     batch.step(std::span(tick).first(active), verdicts);
     for (std::size_t s = 0; s < active; ++s) {
-      const ics::Package& p = test[offset[s] + t];
-      EvaluationResult& out = partials[s];
-      out.confusion.record(p.is_attack(), verdicts[s].anomaly);
-      out.per_attack.record(p.label, verdicts[s].anomaly);
-      if (verdicts[s].package_level) ++out.package_level_alarms;
-      if (verdicts[s].timeseries_level) ++out.timeseries_level_alarms;
+      record(result, test[offset[s] + t], verdicts[s]);
     }
-  }
-
-  EvaluationResult result;
-  for (const EvaluationResult& p : partials) {
-    result.confusion += p.confusion;
-    result.per_attack += p.per_attack;
-    result.package_level_alarms += p.package_level_alarms;
-    result.timeseries_level_alarms += p.timeseries_level_alarms;
   }
   result.avg_classify_us = sw.elapsed_us() / static_cast<double>(test.size());
   return result;
@@ -152,7 +131,9 @@ EvaluationResult evaluate_framework(const CombinedDetector& detector,
   const std::vector<sig::RawRow> rows = ics::to_raw_rows(test);
   Stopwatch sw;
   CombinedDetector::Stream stream = detector.make_stream();
-  evaluate_shard(detector, test, rows, 0, test.size(), stream, result);
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    record(result, test[i], detector.classify_and_consume(stream, rows[i]));
+  }
   if (!test.empty()) {
     result.avg_classify_us = sw.elapsed_us() / static_cast<double>(test.size());
   }
@@ -165,47 +146,7 @@ EvaluationResult evaluate_framework(const CombinedDetector& detector,
   if (options.streams > 1 && test.size() > 1) {
     return evaluate_multistream(detector, test, options);
   }
-  const std::size_t shard_size =
-      options.shard_size == 0 ? test.size() : options.shard_size;
-  if (test.empty() || shard_size >= test.size()) {
-    return evaluate_framework(detector, test);
-  }
-  const std::vector<sig::RawRow> rows = ics::to_raw_rows(test);
-  const std::size_t shards = (test.size() + shard_size - 1) / shard_size;
-  std::vector<EvaluationResult> partials(shards);
-
-  Stopwatch sw;
-  PoolHandle pool(options.threads);
-  // One stream object per contiguous shard range: its LSTM state is reset
-  // at every shard boundary (independent-stream semantics preserved) but
-  // the encode / probability scratch buffers are reused across the whole
-  // range instead of reallocated per shard.
-  const auto run_shards = [&](std::size_t sb, std::size_t se) {
-    CombinedDetector::Stream stream = detector.make_stream();
-    for (std::size_t s = sb; s < se; ++s) {
-      detector.reset_stream(stream);
-      const std::size_t begin = s * shard_size;
-      const std::size_t end = std::min(test.size(), begin + shard_size);
-      evaluate_shard(detector, test, rows, begin, end, stream, partials[s]);
-    }
-  };
-  if (pool.get() == nullptr) {
-    run_shards(0, shards);
-  } else {
-    pool.get()->parallel_chunks(0, shards, run_shards);
-  }
-
-  // Merge in shard order (all counts are integers, so the order only
-  // matters for reproducibility discipline, not rounding).
-  EvaluationResult result;
-  for (const EvaluationResult& p : partials) {
-    result.confusion += p.confusion;
-    result.per_attack += p.per_attack;
-    result.package_level_alarms += p.package_level_alarms;
-    result.timeseries_level_alarms += p.timeseries_level_alarms;
-  }
-  result.avg_classify_us = sw.elapsed_us() / static_cast<double>(test.size());
-  return result;
+  return evaluate_framework(detector, test);
 }
 
 }  // namespace mlad::detect

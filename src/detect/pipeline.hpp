@@ -73,23 +73,16 @@ MultiTrainedFramework train_framework(std::span<const CaptureInput> captures,
 EvaluationResult evaluate_framework(const CombinedDetector& detector,
                                     std::span<const ics::Package> test);
 
-/// Sharded evaluation (DESIGN.md §4): the test stream is cut into
-/// fixed-size shards, each scored as an independent stream (fresh LSTM
-/// state at the shard boundary), and the Confusion / PerAttackRecall
-/// partials are merged in shard order. Shard boundaries are a function of
-/// shard_size alone — never of `threads` — so the merged metrics are
-/// bit-identical for any thread count; they can differ slightly from the
-/// single-stream evaluator near shard starts, where history is still
-/// warming up.
+/// Batched multi-stream evaluation (DESIGN.md §4, detect/stream_batch.hpp).
+/// With `streams` > 1 the test stream is cut into `streams` contiguous
+/// near-equal segments advanced in lockstep, one (S×dim) LSTM step per
+/// layer per tick; each segment starts with fresh history, so metrics can
+/// differ slightly from the single-stream evaluator near segment starts.
+/// Segment boundaries depend on `streams` and the stream length alone, and
+/// `threads` only partitions kernel rows, so metrics are bit-identical for
+/// any thread count. `streams` <= 1 is the exact single-stream evaluator.
 struct EvalOptions {
-  std::size_t threads = 1;       ///< 0 = hardware concurrency, 1 = sequential
-  std::size_t shard_size = 2048; ///< packages per independent shard
-  /// When > 1: batched multi-stream inference (detect/stream_batch.hpp) —
-  /// the test stream is cut into `streams` contiguous near-equal segments
-  /// advanced in lockstep, one (S×dim) LSTM step per layer per tick.
-  /// Takes precedence over shard_size. Segment boundaries depend on
-  /// `streams` and the stream length alone, and `threads` only partitions
-  /// kernel rows, so metrics are bit-identical for any thread count.
+  std::size_t threads = 1;  ///< 0 = hardware concurrency, 1 = sequential
   std::size_t streams = 1;
 };
 

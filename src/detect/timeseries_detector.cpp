@@ -415,12 +415,6 @@ TimeSeriesDetector::Stream TimeSeriesDetector::make_stream() const {
   return s;
 }
 
-void TimeSeriesDetector::reset_stream(Stream& stream) const {
-  for (auto& h : stream.model_state.lstm.h) std::fill(h.begin(), h.end(), 0.0f);
-  for (auto& c : stream.model_state.lstm.c) std::fill(c.begin(), c.end(), 0.0f);
-  stream.has_prediction = false;
-}
-
 bool TimeSeriesDetector::is_anomalous(
     const Stream& stream, std::optional<std::size_t> signature_id) const {
   return is_anomalous(stream, signature_id, k_);

@@ -145,11 +145,6 @@ class TimeSeriesDetector {
 
   Stream make_stream() const;
 
-  /// Rewind a stream to the fresh-state semantics of make_stream() without
-  /// giving up its buffers — the sharded evaluator reuses one stream (and
-  /// its scratch) across consecutive shards.
-  void reset_stream(Stream& stream) const;
-
   /// Is the package's signature inside the predicted top-k set? Packages
   /// arriving before any history (has_prediction == false) pass, as do
   /// none-in-database signatures handled upstream by the Bloom stage.

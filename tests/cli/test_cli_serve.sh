@@ -86,6 +86,8 @@ refused '--batch' train --arff train.arff --model bad.model --batch -1
 test ! -e bad.model || fail "train --batch -1 wrote a model"
 refused '--threads' evaluate --arff train.arff --model m.model --threads -1
 refused '--streams' evaluate --arff train.arff --model m.model --streams abc
+# --threads only splits the batched evaluator's rows; alone it selects nothing.
+refused '--streams' evaluate --arff train.arff --model m.model --threads 4
 refused 'unknown flag --park-after' serve --captures c.cap,d.cap \
   --model m.model --park-after 6
 refused 'unknown flag --bogus-flag' serve --captures c.cap,d.cap \

@@ -1,8 +1,9 @@
 // Batched multi-stream inference (detect/stream_batch.hpp and the
 // EvalOptions::streams path): per-stream semantics track the single-stream
-// reference to float rounding, metrics are bit-identical across thread
-// counts (the pool only partitions kernel rows), and the StreamBatch API
-// enforces its prefix-shrink contract.
+// reference to float rounding, streams <= 1 is that reference exactly,
+// metrics are bit-identical across thread counts (the pool only partitions
+// kernel rows), and the StreamBatch API enforces its prefix-shrink
+// contract.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -71,6 +72,13 @@ TEST(StreamBatchEval, TracksSingleStreamReference) {
   const auto& f = fixture();
   const EvaluationResult seq =
       evaluate_framework(*f.framework.detector, f.framework.split.test);
+  // streams <= 1 is the single-stream evaluator itself, for any threads.
+  for (const std::size_t streams : {0u, 1u}) {
+    const EvaluationResult one = evaluate_framework(
+        *f.framework.detector, f.framework.split.test,
+        EvalOptions{.threads = 4, .streams = streams});
+    EXPECT_TRUE(same_counts(seq, one)) << "streams = " << streams;
+  }
   EvalOptions opts;
   opts.streams = 8;
   const EvaluationResult batched =
@@ -97,6 +105,12 @@ TEST(StreamBatchEval, MoreStreamsThanPackagesClamps) {
   const EvaluationResult r =
       evaluate_framework(*f.framework.detector, test, opts);
   EXPECT_EQ(r.confusion.total(), test.size());
+
+  const EvaluationResult empty =
+      evaluate_framework(*f.framework.detector, std::span<const ics::Package>{},
+                         EvalOptions{.streams = 8});
+  EXPECT_EQ(empty.confusion.total(), 0u);
+  EXPECT_EQ(empty.avg_classify_us, 0.0);
 }
 
 TEST(StreamBatch, PerStreamVerdictsMatchIndependentStreams) {

@@ -1,7 +1,7 @@
 // Per-package reference monitor (DESIGN.md §8): the oracle the batched
-// MonitorEngine is tested and benchmarked against. Every link gets its own
-// LinkMux decode session and CombinedDetector::Stream, and each package is
-// classified the moment it arrives with one classify_and_consume — the
+// MonitorEngine is tested against. Every link gets its own LinkMux decode
+// session and CombinedDetector::Stream, and each package is classified the
+// moment it arrives with one classify_and_consume — the
 // pre-engine `mlad monitor` loop, "N sequential monitors" on a merged wire.
 // Its verdicts match the batched engine to float rounding, not bitwise
 // (DESIGN.md §5): the batched kernels sum in a different order.

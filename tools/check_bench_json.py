@@ -4,16 +4,18 @@
 Every benchmark binary that takes `--json` writes a machine-readable result
 file that is committed at the repo root (BENCH_nn.json, BENCH_ingest.json,
 ...). These artifacts are load-bearing: README and DESIGN.md cite them, and
-the ingest artifact carries this PR's acceptance criterion. This script is
-the CI gate that keeps them honest:
+several carry a speedup or determinism criterion of their subsystem. This
+script is the CI gate that keeps them honest:
 
   * every BENCH_*.json must parse as strict JSON (no NaN/Infinity — a
     printf'd NaN is how a silently-broken bench usually manifests);
   * the shared header fields (`bench`, `scale`, `hardware_threads`) must be
     present and sane, and `bench` must name the producing binary;
-  * per-bench criteria: BENCH_ingest.json must record
-    `per_link_verdicts_match_isolated: true` (sharding may never change a
-    verdict) and a met speedup criterion.
+  * per-bench criteria (one check_* function per producing binary), e.g.
+    BENCH_ingest.json must record `per_link_verdicts_match_isolated: true`
+    (sharding may never change a verdict) and a met speedup criterion, and
+    BENCH_nn.json must carry its `train`, `train_consolidation` and `eval`
+    sections with every determinism boolean true.
 
 Usage: check_bench_json.py [repo_root|file.json ...]
 Exits non-zero with one line per violation.
@@ -100,58 +102,10 @@ def check_ingest(doc: dict, errors: list) -> None:
 
 
 def check_nn(doc: dict, errors: list) -> None:
-    """bench_nn_throughput writes two artifacts: BENCH_nn.json (the engine
-    throughput record, with a `train` section) and BENCH_train.json (the
-    multi-capture train-consolidation record, with a `train_consolidation`
-    section). Both carry determinism booleans that must be true."""
-    tc = doc.get("train_consolidation")
-    if tc is not None:
-        if not isinstance(tc, dict):
-            errors.append("'train_consolidation' must be an object")
-            return
-        if tc.get("all_backends_bit_identical") is not True:
-            errors.append("train_consolidation.all_backends_bit_identical "
-                          "must be true: sharded training may never depend "
-                          "on thread count or capture order (DESIGN.md §11)")
-        backends = tc.get("backends")
-        if not isinstance(backends, dict) or not backends:
-            errors.append("train_consolidation.backends missing or empty")
-        else:
-            for name, entry in backends.items():
-                key = "losses_bit_identical_across_threads_and_orders"
-                if not isinstance(entry, dict) or entry.get(key) is not True:
-                    errors.append(f"train_consolidation.backends.{name}."
-                                  f"{key} must be true")
-        for field in ("sequential_per_capture_s", "sharded_wall_s",
-                      "sharded_critical_path_s"):
-            value = tc.get(field)
-            if not isinstance(value, (int, float)) or value <= 0:
-                errors.append(f"train_consolidation.{field} must be positive")
-        reduction = tc.get("transpose_calls_reduction")
-        if not isinstance(reduction, (int, float)) or reduction <= 1:
-            errors.append("train_consolidation.transpose_calls_reduction "
-                          "must exceed 1 (the cache must actually remove "
-                          "per-lane re-transposition)")
-        criterion = tc.get("criterion")
-        if not isinstance(criterion, dict):
-            errors.append("train_consolidation.criterion object missing")
-            return
-        required = criterion.get("required_speedup_4lanes")
-        measured = criterion.get("measured_speedup_4lanes")
-        for name, value in (("required_speedup_4lanes", required),
-                            ("measured_speedup_4lanes", measured)):
-            if not isinstance(value, (int, float)) or value <= 0:
-                errors.append(f"train_consolidation.criterion.{name} must "
-                              f"be a positive number")
-        if criterion.get("met") is not True:
-            errors.append("train_consolidation.criterion.met must be true")
-        elif (isinstance(required, (int, float))
-              and isinstance(measured, (int, float))
-              and measured < required):
-            errors.append(f"train_consolidation.criterion.met claims true "
-                          f"but measured {measured} < required {required}")
-        return
-
+    """BENCH_nn.json, the one bench_nn_throughput record: the `train`,
+    `train_consolidation` and `eval` sections each carry determinism
+    booleans that must be true, and `train_consolidation` its 4-lane
+    speedup criterion."""
     train = doc.get("train")
     if not isinstance(train, dict):
         errors.append("'train' section missing")
@@ -161,8 +115,56 @@ def check_nn(doc: dict, errors: list) -> None:
     eval_section = doc.get("eval")
     if not isinstance(eval_section, dict):
         errors.append("'eval' section missing")
-    elif eval_section.get("confusion_identical_across_threads") is not True:
-        errors.append("eval.confusion_identical_across_threads must be true")
+    elif (eval_section.get("streams_confusion_identical_across_threads")
+          is not True):
+        errors.append("eval.streams_confusion_identical_across_threads "
+                      "must be true (DESIGN.md §4)")
+
+    tc = doc.get("train_consolidation")
+    if not isinstance(tc, dict):
+        errors.append("'train_consolidation' section missing")
+        return
+    if tc.get("all_backends_bit_identical") is not True:
+        errors.append("train_consolidation.all_backends_bit_identical "
+                      "must be true: sharded training may never depend "
+                      "on thread count or capture order (DESIGN.md §11)")
+    backends = tc.get("backends")
+    if not isinstance(backends, dict) or not backends:
+        errors.append("train_consolidation.backends missing or empty")
+    else:
+        for name, entry in backends.items():
+            key = "losses_bit_identical_across_threads_and_orders"
+            if not isinstance(entry, dict) or entry.get(key) is not True:
+                errors.append(f"train_consolidation.backends.{name}."
+                              f"{key} must be true")
+    for field in ("sequential_per_capture_s", "sharded_wall_s",
+                  "sharded_critical_path_s"):
+        value = tc.get(field)
+        if not isinstance(value, (int, float)) or value <= 0:
+            errors.append(f"train_consolidation.{field} must be positive")
+    reduction = tc.get("transpose_calls_reduction")
+    if not isinstance(reduction, (int, float)) or reduction <= 1:
+        errors.append("train_consolidation.transpose_calls_reduction "
+                      "must exceed 1 (the cache must actually remove "
+                      "per-lane re-transposition)")
+    criterion = tc.get("criterion")
+    if not isinstance(criterion, dict):
+        errors.append("train_consolidation.criterion object missing")
+        return
+    required = criterion.get("required_speedup_4lanes")
+    measured = criterion.get("measured_speedup_4lanes")
+    for name, value in (("required_speedup_4lanes", required),
+                        ("measured_speedup_4lanes", measured)):
+        if not isinstance(value, (int, float)) or value <= 0:
+            errors.append(f"train_consolidation.criterion.{name} must "
+                          f"be a positive number")
+    if criterion.get("met") is not True:
+        errors.append("train_consolidation.criterion.met must be true")
+    elif (isinstance(required, (int, float))
+          and isinstance(measured, (int, float))
+          and measured < required):
+        errors.append(f"train_consolidation.criterion.met claims true "
+                      f"but measured {measured} < required {required}")
 
 
 def check_faults(doc: dict, errors: list) -> None:

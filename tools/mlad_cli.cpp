@@ -373,32 +373,25 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_evaluate(const std::map<std::string, std::string>& flags) {
-  // Without --threads/--streams: the seed's exact single-stream evaluation.
-  // With --threads: sharded evaluation, whose fixed shard boundaries keep
-  // the metrics bit-identical for any thread count (see detect/pipeline.hpp)
-  // but reset LSTM history at shard starts. With --streams S (> 1): batched
-  // multi-stream inference — S segments advanced in lockstep through one
-  // (S×dim) LSTM step per layer per tick; also thread-count-invariant.
-  detect::EvaluationResult result;
-  const auto threads_it = flags.find("threads");
-  const auto streams_it = flags.find("streams");
+  // Without --streams: the paper's exact single-stream evaluation. With
+  // --streams S (> 1): batched multi-stream inference — S segments advanced
+  // in lockstep through one (S×dim) LSTM step per layer per tick; --threads
+  // only partitions its kernel rows, so the metrics are identical for any
+  // thread count (see detect/pipeline.hpp). The single stream reads no
+  // --threads, so that flag alone is refused.
   detect::EvalOptions opts;
-  if (threads_it != flags.end()) {
-    opts.threads = checked_uint<std::size_t>("threads", threads_it->second);
-  }
-  if (streams_it != flags.end()) {
-    opts.streams = checked_uint<std::size_t>("streams", streams_it->second);
+  opts.threads = uint_flag<std::size_t>(flags, "threads", "1");
+  opts.streams = uint_flag<std::size_t>(flags, "streams", "1");
+  if (flags.contains("threads") && opts.streams <= 1) {
+    throw std::runtime_error(
+        "--threads needs --streams S > 1 (the single-stream "
+        "evaluation runs on one thread)");
   }
   const auto packages = ics::from_arff(read_arff_file(need(flags, "arff")));
   const auto detector = detect::load_framework_file(need(flags, "model"));
-  print_compute_banner(threads_it != flags.end() ? opts.threads : 1);
-  // --streams 1 (or 0) means "one stream" — the exact single-stream
-  // reference, not the sharded evaluator, which only --threads selects.
-  if (threads_it != flags.end() || opts.streams > 1) {
-    result = detect::evaluate_framework(*detector, packages, opts);
-  } else {
-    result = detect::evaluate_framework(*detector, packages);
-  }
+  print_compute_banner(opts.threads);
+  const detect::EvaluationResult result =
+      detect::evaluate_framework(*detector, packages, opts);
   std::printf("%zu packages: %s  (%.1f µs/package)\n", packages.size(),
               detect::to_string(result.confusion).c_str(),
               result.avg_classify_us);
@@ -949,10 +942,10 @@ int usage() {
       "           [--resume old.model]  continue training a saved framework\n"
       "           on this log (with --adam-state: warm-start from, then\n"
       "           rewrite, the sidecar; refused if it mismatches the model)\n"
-      "  evaluate --arff f --model f [--threads N] [--streams S]\n"
-      "           (--threads: sharded parallel scoring; --streams S>1:\n"
-      "           batched multi-stream inference, one (S×dim) LSTM step\n"
-      "           per tick; both identical for any thread count)\n"
+      "  evaluate --arff f --model f [--streams S [--threads N]]\n"
+      "           (--streams S>1: batched multi-stream inference, one\n"
+      "           (S×dim) LSTM step per tick; --threads splits its kernel\n"
+      "           rows and never changes results)\n"
       "  monitor  --capture f --model f [--max-alarms N]\n"
       "  sigdb    build --model f --out f.sigdb [--shard-bits N]\n"
       "           [--prefilter-fpr P]   write the compact mmap-able\n"
