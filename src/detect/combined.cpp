@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 namespace mlad::detect {
 namespace {
 
-std::vector<sig::RawRow> flatten(
-    std::span<const std::vector<sig::RawRow>> fragments) {
-  std::vector<sig::RawRow> rows;
-  std::size_t total = 0;
-  for (const auto& f : fragments) total += f.size();
-  rows.reserve(total);
+void append_rows(std::vector<sig::RawRow>& rows,
+                 std::span<const std::vector<sig::RawRow>> fragments) {
   for (const auto& f : fragments) rows.insert(rows.end(), f.begin(), f.end());
-  return rows;
 }
 
 }  // namespace
@@ -24,44 +20,23 @@ CombinedDetector::CombinedDetector(
     std::span<const sig::FeatureSpec> specs, const CombinedConfig& config,
     Rng& rng, std::span<const std::vector<sig::RawRow>> signature_only_train,
     std::span<const std::vector<sig::RawRow>> signature_only_validation) {
-  std::vector<sig::RawRow> train_rows = flatten(train_fragments);
-  {
-    const std::vector<sig::RawRow> extra = flatten(signature_only_train);
-    train_rows.insert(train_rows.end(), extra.begin(), extra.end());
-  }
-  package_ = std::make_unique<PackageLevelDetector>(train_rows, specs, rng,
-                                                    config.package);
-
-  std::vector<sig::RawRow> validation_rows = flatten(validation_fragments);
-  {
-    const std::vector<sig::RawRow> extra = flatten(signature_only_validation);
-    validation_rows.insert(validation_rows.end(), extra.begin(), extra.end());
-  }
-  package_validation_error_ = package_->validation_error(validation_rows);
-
-  // Discretize the fragments once for LSTM training / validation.
-  auto discretize = [&](std::span<const std::vector<sig::RawRow>> frags) {
-    std::vector<DiscreteFragment> out;
-    out.reserve(frags.size());
-    for (const auto& f : frags) {
-      out.push_back(package_->discretizer().transform_all(f));
-    }
-    return out;
-  };
-  const std::vector<DiscreteFragment> train_disc = discretize(train_fragments);
-  const std::vector<DiscreteFragment> val_disc = discretize(validation_fragments);
-
-  timeseries_ = std::make_unique<TimeSeriesDetector>(
-      package_->database(), package_->discretizer().cardinalities(),
-      config.timeseries, rng);
-  training_losses_ = timeseries_->train(train_disc, rng);
-  timeseries_->choose_k(val_disc);
+  const CaptureFragments capture[] = {
+      {"", train_fragments, validation_fragments, signature_only_train,
+       signature_only_validation}};
+  train_levels(capture, specs, config, rng, std::nullopt);
 }
 
 CombinedDetector::CombinedDetector(std::span<const CaptureFragments> captures,
                                    std::span<const sig::FeatureSpec> specs,
                                    const CombinedConfig& config, Rng& rng,
                                    std::uint64_t shard_seed) {
+  train_levels(captures, specs, config, rng, shard_seed);
+}
+
+void CombinedDetector::train_levels(std::span<const CaptureFragments> captures,
+                                    std::span<const sig::FeatureSpec> specs,
+                                    const CombinedConfig& config, Rng& rng,
+                                    std::optional<std::uint64_t> shard_seed) {
   // Canonical key order for every pooled structure: the database, Bloom
   // filter, discretizer, and validation sets see the same row sequence no
   // matter how the caller ordered the captures.
@@ -79,39 +54,22 @@ CombinedDetector::CombinedDetector(std::span<const CaptureFragments> captures,
 
   std::vector<sig::RawRow> train_rows;
   for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> rows =
-        flatten(captures[ci].train_fragments);
-    train_rows.insert(train_rows.end(), rows.begin(), rows.end());
+    append_rows(train_rows, captures[ci].train_fragments);
   }
   for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> extra =
-        flatten(captures[ci].signature_only_train);
-    train_rows.insert(train_rows.end(), extra.begin(), extra.end());
+    append_rows(train_rows, captures[ci].signature_only_train);
   }
   package_ = std::make_unique<PackageLevelDetector>(train_rows, specs, rng,
                                                     config.package);
 
   std::vector<sig::RawRow> validation_rows;
   for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> rows =
-        flatten(captures[ci].validation_fragments);
-    validation_rows.insert(validation_rows.end(), rows.begin(), rows.end());
+    append_rows(validation_rows, captures[ci].validation_fragments);
   }
   for (std::size_t ci : order) {
-    const std::vector<sig::RawRow> extra =
-        flatten(captures[ci].signature_only_validation);
-    validation_rows.insert(validation_rows.end(), extra.begin(), extra.end());
+    append_rows(validation_rows, captures[ci].signature_only_validation);
   }
   package_validation_error_ = package_->validation_error(validation_rows);
-
-  auto discretize = [&](std::span<const std::vector<sig::RawRow>> frags) {
-    std::vector<DiscreteFragment> out;
-    out.reserve(frags.size());
-    for (const auto& f : frags) {
-      out.push_back(package_->discretizer().transform_all(f));
-    }
-    return out;
-  };
 
   // Per-capture discretized training fragments back the shards; pooled
   // validation fragments (canonical order) drive the choice of k.
@@ -120,18 +78,24 @@ CombinedDetector::CombinedDetector(std::span<const CaptureFragments> captures,
   shards.reserve(captures.size());
   std::vector<DiscreteFragment> val_disc;
   for (std::size_t ci : order) {
-    train_disc[ci] = discretize(captures[ci].train_fragments);
+    for (const auto& f : captures[ci].train_fragments) {
+      train_disc[ci].push_back(package_->discretizer().transform_all(f));
+    }
     shards.push_back({captures[ci].key, train_disc[ci]});
-    std::vector<DiscreteFragment> v =
-        discretize(captures[ci].validation_fragments);
-    val_disc.insert(val_disc.end(), std::make_move_iterator(v.begin()),
-                    std::make_move_iterator(v.end()));
+    for (const auto& f : captures[ci].validation_fragments) {
+      val_disc.push_back(package_->discretizer().transform_all(f));
+    }
   }
 
   timeseries_ = std::make_unique<TimeSeriesDetector>(
       package_->database(), package_->discretizer().cardinalities(),
       config.timeseries, rng);
-  training_losses_ = timeseries_->train_sharded(shards, shard_seed);
+  // The only difference between the two training constructors: one capture
+  // trains through train() on the caller's rng, several through the
+  // sharded engine on per-capture streams derived from shard_seed.
+  training_losses_ =
+      shard_seed ? timeseries_->train_sharded(shards, *shard_seed)
+                 : timeseries_->train(shards.front().fragments, rng);
   timeseries_->choose_k(val_disc);
 }
 

@@ -8,7 +8,9 @@
 // so later classifications condition on it (§V-A-3 detection-phase rule).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -111,6 +113,15 @@ class CombinedDetector {
   }
 
  private:
+  /// The one training body of both training constructors: pool the
+  /// captures' rows in key order for the package level, discretize, train
+  /// the LSTM — train_sharded(*shard_seed) when a seed is given, else
+  /// train() on the one capture with `rng` — and choose k.
+  void train_levels(std::span<const CaptureFragments> captures,
+                    std::span<const sig::FeatureSpec> specs,
+                    const CombinedConfig& config, Rng& rng,
+                    std::optional<std::uint64_t> shard_seed);
+
   std::unique_ptr<PackageLevelDetector> package_;
   std::unique_ptr<TimeSeriesDetector> timeseries_;
   std::vector<double> training_losses_;

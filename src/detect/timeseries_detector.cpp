@@ -123,111 +123,10 @@ void TimeSeriesDetector::set_k(std::size_t k) {
 
 std::vector<double> TimeSeriesDetector::train(
     std::span<const DiscreteFragment> fragments, Rng& rng) {
-  nn::Adam opt(config_.learning_rate);
-  const auto slots = model_.param_slots();
-  if (warm_start_) {
-    if (!nn::adam_state_matches(*warm_start_, slots)) {
-      throw std::invalid_argument(
-          "TimeSeriesDetector: Adam warm-start state does not match the "
-          "model (refusing mismatched sidecar)");
-    }
-    opt.restore(std::move(*warm_start_));
-    warm_start_.reset();
-  }
-  const bool batched = config_.batch_size > 1;
-  std::optional<nn::MinibatchTrainer> engine;
-  if (batched) {
-    engine.emplace(model_, config_.micro_batch, config_.threads);
-  }
-
-  std::vector<std::size_t> order(fragments.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  std::vector<double> epoch_losses;
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.shuffle(order);
-    double loss_sum = 0.0;
-    std::size_t steps = 0;
-    if (batched) {
-      // Encoding (and its noise draws) happens serially in shuffled order —
-      // exactly the sequence the per-window loop would consume — so the Rng
-      // stream never depends on the batch/thread configuration. Encoded
-      // fragments live only while a pending window still references them
-      // (a deque keeps element addresses stable), so peak memory is one
-      // minibatch worth of one-hot floats, not the whole epoch's.
-      std::deque<nn::Fragment> live;
-      std::deque<std::size_t> live_windows;  // pending windows per fragment
-      std::vector<nn::WindowRef> pending;
-      const auto release = [&](std::size_t consumed) {
-        while (consumed > 0) {
-          if (live_windows.front() <= consumed) {
-            consumed -= live_windows.front();
-            live_windows.pop_front();
-            live.pop_front();
-          } else {
-            live_windows.front() -= consumed;
-            consumed = 0;
-          }
-        }
-      };
-      const auto flush = [&](bool final_flush) {
-        std::size_t done = 0;
-        while (pending.size() - done >= config_.batch_size ||
-               (final_flush && pending.size() > done)) {
-          const std::size_t count =
-              std::min(config_.batch_size, pending.size() - done);
-          loss_sum += engine->step(std::span(pending).subspan(done, count),
-                                   slots, config_.grad_clip, opt);
-          done += count;
-        }
-        pending.erase(pending.begin(),
-                      pending.begin() + static_cast<std::ptrdiff_t>(done));
-        release(done);
-      };
-      for (std::size_t fi : order) {
-        nn::Fragment frag =
-            encode_fragment(fragments[fi], config_.noise.enabled, &rng);
-        if (frag.steps() == 0) continue;
-        live.push_back(std::move(frag));
-        const nn::Fragment& f = live.back();
-        const std::size_t truncate =
-            config_.truncate_steps == 0 ? f.steps() : config_.truncate_steps;
-        std::size_t windows = 0;
-        for (std::size_t start = 0; start < f.steps(); start += truncate) {
-          const std::size_t end = std::min(f.steps(), start + truncate);
-          pending.push_back({std::span(f.inputs.data() + start, end - start),
-                             std::span(f.targets.data() + start, end - start)});
-          steps += end - start;
-          ++windows;
-        }
-        live_windows.push_back(windows);
-        flush(false);
-      }
-      flush(true);
-    } else {
-      for (std::size_t fi : order) {
-        // Noise is re-sampled every epoch (fresh corruption draws).
-        const nn::Fragment frag =
-            encode_fragment(fragments[fi], config_.noise.enabled, &rng);
-        if (frag.steps() == 0) continue;
-        const std::size_t truncate =
-            config_.truncate_steps == 0 ? frag.steps() : config_.truncate_steps;
-        for (std::size_t start = 0; start < frag.steps(); start += truncate) {
-          const std::size_t end = std::min(frag.steps(), start + truncate);
-          model_.zero_grads();
-          loss_sum += model_.train_fragment(
-              std::span(frag.inputs.data() + start, end - start),
-              std::span(frag.targets.data() + start, end - start));
-          steps += end - start;
-          nn::clip_global_norm(slots, config_.grad_clip);
-          opt.step(slots);
-        }
-      }
-    }
-    epoch_losses.push_back(steps ? loss_sum / static_cast<double>(steps) : 0.0);
-  }
-  adam_state_ = opt.state();
-  return epoch_losses;
+  // One capture drawing from the caller's rng. At batch_size 1 the step is
+  // the per-window reference, not the engine.
+  const std::span<const DiscreteFragment> capture[] = {fragments};
+  return run_epochs(capture, std::span(&rng, 1), config_.batch_size <= 1);
 }
 
 std::vector<double> TimeSeriesDetector::train_sharded(
@@ -247,6 +146,32 @@ std::vector<double> TimeSeriesDetector::train_sharded(
     }
   }
 
+  // One independent Rng stream per capture, derived from (base_seed, key)
+  // via FNV-1a: a capture's shuffle and noise draws are a pure function of
+  // its own key and data, never of its shard neighbours.
+  std::vector<std::span<const DiscreteFragment>> ordered;
+  std::vector<Rng> rngs;
+  ordered.reserve(captures.size());
+  rngs.reserve(captures.size());
+  for (std::size_t ci : cap_order) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (int b = 0; b < 8; ++b) {
+      h ^= (base_seed >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+    for (unsigned char ch : captures[ci].key) {
+      h ^= ch;
+      h *= 1099511628211ULL;
+    }
+    ordered.push_back(captures[ci].fragments);
+    rngs.emplace_back(h);
+  }
+  return run_epochs(ordered, rngs, /*per_window=*/false);
+}
+
+std::vector<double> TimeSeriesDetector::run_epochs(
+    std::span<const std::span<const DiscreteFragment>> captures,
+    std::span<Rng> rngs, bool per_window) {
   nn::Adam opt(config_.learning_rate);
   const auto slots = model_.param_slots();
   if (warm_start_) {
@@ -258,29 +183,12 @@ std::vector<double> TimeSeriesDetector::train_sharded(
     opt.restore(std::move(*warm_start_));
     warm_start_.reset();
   }
-  nn::MinibatchTrainer engine(model_, config_.micro_batch, config_.threads);
+  std::optional<nn::MinibatchTrainer> engine;
+  if (!per_window) engine.emplace(model_, config_.micro_batch, config_.threads);
 
-  // One independent Rng stream per capture, derived from (base_seed, key)
-  // via FNV-1a: a capture's shuffle and noise draws are a pure function of
-  // its own key and data, never of its shard neighbours.
-  std::vector<Rng> rngs;
-  rngs.reserve(captures.size());
-  for (const CaptureShard& cap : captures) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (int b = 0; b < 8; ++b) {
-      h ^= (base_seed >> (8 * b)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-    for (unsigned char ch : cap.key) {
-      h ^= ch;
-      h *= 1099511628211ULL;
-    }
-    rngs.emplace_back(h);
-  }
-
-  // Per-capture streaming encoder state: like train()'s batched path, a
-  // fragment stays live only while one of its windows is still pending, so
-  // peak memory is ~one round of one-hot floats per capture.
+  // Per-capture streaming encoder state: a fragment stays live only while
+  // one of its windows is still pending (a deque keeps element addresses
+  // stable), so peak memory is ~one round of code rows per capture.
   struct Feed {
     std::vector<std::size_t> order;        ///< shuffled fragment indices
     std::size_t next = 0;                  ///< next order[] entry to encode
@@ -290,14 +198,13 @@ std::vector<double> TimeSeriesDetector::train_sharded(
   };
   std::vector<Feed> feeds(captures.size());
   for (std::size_t ci = 0; ci < captures.size(); ++ci) {
-    feeds[ci].order.resize(captures[ci].fragments.size());
+    feeds[ci].order.resize(captures[ci].size());
     std::iota(feeds[ci].order.begin(), feeds[ci].order.end(), 0);
   }
 
   const std::size_t group_size = std::max<std::size_t>(1, config_.batch_size);
   std::vector<double> epoch_losses;
-  std::vector<std::span<const nn::WindowRef>> groups;
-  std::vector<std::size_t> took(captures.size());
+  std::vector<std::span<const nn::WindowRef>> groups(captures.size());
 
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     for (std::size_t ci = 0; ci < captures.size(); ++ci) {
@@ -307,16 +214,17 @@ std::vector<double> TimeSeriesDetector::train_sharded(
     double loss_sum = 0.0;
     std::size_t steps = 0;
     while (true) {
-      // Build this round's groups: up to group_size windows from every
-      // capture, in canonical order. The partition is a function of the
-      // data and group_size alone — never of threads or listing order.
-      groups.clear();
-      for (std::size_t ci : cap_order) {
+      // This round's groups: the next up to group_size windows of every
+      // capture. Encoding (and its noise draws, re-sampled every epoch) runs
+      // serially in each capture's shuffled order, so the partition and the
+      // Rng streams are functions of the data and group_size alone — never
+      // of micro_batch, threads or listing order.
+      bool any = false;
+      for (std::size_t ci = 0; ci < captures.size(); ++ci) {
         Feed& fd = feeds[ci];
-        while (fd.pending.size() < group_size &&
-               fd.next < fd.order.size()) {
+        while (fd.pending.size() < group_size && fd.next < fd.order.size()) {
           nn::Fragment frag =
-              encode_fragment(captures[ci].fragments[fd.order[fd.next++]],
+              encode_fragment(captures[ci][fd.order[fd.next++]],
                               config_.noise.enabled, &rngs[ci]);
           if (frag.steps() == 0) continue;
           fd.live.push_back(std::move(frag));
@@ -335,18 +243,30 @@ std::vector<double> TimeSeriesDetector::train_sharded(
           }
           fd.live_windows.push_back(windows);
         }
-        took[ci] = std::min(group_size, fd.pending.size());
-        if (took[ci] > 0) {
-          groups.push_back(std::span(fd.pending).first(took[ci]));
+        groups[ci] = std::span(fd.pending).first(
+            std::min(group_size, fd.pending.size()));
+        any |= !groups[ci].empty();
+      }
+      if (!any) break;  // epoch exhausted every capture
+      if (engine) {
+        // An empty group adds no lane, so it leaves the arithmetic alone.
+        loss_sum += engine->step_grouped(groups, slots, config_.grad_clip, opt);
+      } else {
+        // The per-window reference: one optimizer step per BPTT window.
+        for (const std::span<const nn::WindowRef> group : groups) {
+          for (const nn::WindowRef& w : group) {
+            model_.zero_grads();
+            loss_sum += model_.train_fragment(w.inputs, w.targets);
+            nn::clip_global_norm(slots, config_.grad_clip);
+            opt.step(slots);
+          }
         }
       }
-      if (groups.empty()) break;  // epoch exhausted every capture
-      loss_sum += engine.step_grouped(groups, slots, config_.grad_clip, opt);
       // Retire the consumed window prefix (and any fragment whose windows
       // are all done) of each capture.
-      for (std::size_t ci : cap_order) {
+      for (std::size_t ci = 0; ci < captures.size(); ++ci) {
         Feed& fd = feeds[ci];
-        std::size_t consumed = took[ci];
+        std::size_t consumed = groups[ci].size();
         fd.pending.erase(
             fd.pending.begin(),
             fd.pending.begin() + static_cast<std::ptrdiff_t>(consumed));

@@ -47,10 +47,11 @@ struct TimeSeriesConfig {
   double learning_rate = 3e-3;
   double grad_clip = 5.0;
   std::size_t truncate_steps = 64;     ///< BPTT window
-  /// BPTT windows per optimizer step. 1 = the seed's sequential per-window
-  /// SGD (reference semantics); >1 = the batched data-parallel engine
+  /// BPTT windows per optimizer step. In train(), 1 = the seed's per-window
+  /// SGD (reference semantics) and >1 = the batched data-parallel engine
   /// (nn::MinibatchTrainer), whose results depend on batch_size and
   /// micro_batch but are bit-identical for any `threads` (DESIGN.md §5).
+  /// train_sharded runs the engine at every batch_size.
   std::size_t batch_size = 1;
   std::size_t micro_batch = 4;         ///< windows per batched kernel pass
   std::size_t threads = 1;             ///< 0 = hardware concurrency
@@ -80,15 +81,21 @@ class TimeSeriesDetector {
   TimeSeriesDetector(TimeSeriesDetector&&) = default;
 
   /// Train on anomaly-free fragments; returns mean per-step loss by epoch.
-  /// Uses a fresh Adam unless a warm start was installed (below); the final
-  /// optimizer moments are captured and readable via adam_state().
+  /// The one-capture case of train_sharded's driver, drawing the shuffle and
+  /// noise from `rng`. At batch_size 1 every BPTT window is its own
+  /// optimizer step through SequenceModel::train_fragment (the per-window
+  /// reference); otherwise each step is one batch_size-window minibatch of
+  /// the engine. Uses a fresh Adam unless a warm start was installed
+  /// (below); the final optimizer moments are captured and readable via
+  /// adam_state().
   std::vector<double> train(std::span<const DiscreteFragment> fragments,
                             Rng& rng);
 
   /// Multi-capture sharded training (DESIGN.md §11): every round draws up
   /// to batch_size BPTT windows from EACH capture and runs them as that
   /// capture's own gradient lanes through the grouped minibatch engine
-  /// (nn::MinibatchTrainer::step_grouped) — one optimizer step per round.
+  /// (nn::MinibatchTrainer::step_grouped) — one optimizer step per round,
+  /// at batch_size 1 too (groups of one window, unlike train()).
   /// Each capture consumes an independent Rng stream derived from
   /// (base_seed, key), so its shuffle and noise draws never depend on which
   /// other captures train alongside it; combined with the canonical key
@@ -181,6 +188,14 @@ class TimeSeriesDetector {
   const TimeSeriesConfig& config() const { return config_; }
 
  private:
+  /// The one epoch driver behind train() and train_sharded(): captures[i]
+  /// draws its epoch shuffle and its noise from rngs[i]; each round takes
+  /// the next up to batch_size windows of every capture as one optimizer
+  /// step, through the grouped engine or, with `per_window`, one
+  /// train_fragment step per window.
+  std::vector<double> run_epochs(
+      std::span<const std::span<const DiscreteFragment>> captures,
+      std::span<Rng> rngs, bool per_window);
   /// Encode a fragment into training inputs/targets, optionally noisy.
   nn::Fragment encode_fragment(const DiscreteFragment& frag, bool with_noise,
                                Rng* rng) const;

@@ -88,6 +88,12 @@ refused '--threads' evaluate --arff train.arff --model m.model --threads -1
 refused '--streams' evaluate --arff train.arff --model m.model --streams abc
 # --threads only splits the batched evaluator's rows; alone it selects nothing.
 refused '--streams' evaluate --arff train.arff --model m.model --threads 4
+# main() prefixes every error with "mlad <cmd>: ", so the message must not
+# repeat the command.
+refused '--source must be' serve --source bogus --model m.model
+if grep -q 'serve: serve:' refusal.txt; then
+  fail "refusal repeats its command: $(cat refusal.txt)"
+fi
 refused 'unknown flag --park-after' serve --captures c.cap,d.cap \
   --model m.model --park-after 6
 refused 'unknown flag --bogus-flag' serve --captures c.cap,d.cap \

@@ -77,8 +77,12 @@ TEST_F(ShardFixture, ShardedTrainingLearns) {
 }
 
 TEST_F(ShardFixture, BitIdenticalAcrossThreadCounts) {
+  // Sharded over three captures, and the single-capture train() at
+  // batch 4 / micro-batch 2, which runs the same driver on the caller's Rng.
   std::vector<std::vector<double>> losses;
   std::vector<std::vector<float>> params;
+  std::vector<std::vector<double>> single_losses;
+  std::vector<std::vector<float>> single_params;
   for (const std::size_t threads : {1u, 2u, 4u}) {
     config.threads = threads;
     Rng rng(2);
@@ -86,6 +90,16 @@ TEST_F(ShardFixture, BitIdenticalAcrossThreadCounts) {
     const auto caps = shards(std::vector<std::size_t>{0, 1, 2});
     losses.push_back(det.train_sharded(caps, 7));
     params.push_back(flatten_params(det));
+    TimeSeriesConfig single_config = config;
+    single_config.batch_size = 4;
+    Rng single_rng(3);
+    TimeSeriesDetector single(*db, cards, single_config, single_rng);
+    single_losses.push_back(single.train(capture_frags[1], single_rng));
+    single_params.push_back(flatten_params(single));
+  }
+  for (std::size_t i = 1; i < single_losses.size(); ++i) {
+    ASSERT_EQ(single_losses[0], single_losses[i]);
+    ASSERT_EQ(single_params[0], single_params[i]) << "thread variant " << i;
   }
   for (std::size_t i = 1; i < losses.size(); ++i) {
     ASSERT_EQ(losses[0], losses[i]);

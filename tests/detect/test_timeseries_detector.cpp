@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nn/softmax.hpp"
 
 namespace mlad::detect {
@@ -41,11 +43,53 @@ struct TsFixture : ::testing::Test {
 };
 
 TEST_F(TsFixture, TrainingLossDecreases) {
-  Rng rng(1);
-  TimeSeriesDetector det(*db, cards, config, rng);
-  const auto losses = det.train(fragments, rng);
-  ASSERT_EQ(losses.size(), config.epochs);
-  EXPECT_LT(losses.back(), losses.front() * 0.5);
+  // The per-window reference (batch 1) and the engine (batch 4, a quarter
+  // of the optimizer steps) both learn; one loss per epoch.
+  for (const std::size_t batch : {1u, 4u}) {
+    config.batch_size = batch;
+    Rng rng(1);
+    TimeSeriesDetector det(*db, cards, config, rng);
+    const auto losses = det.train(fragments, rng);
+    ASSERT_EQ(losses.size(), config.epochs);
+    EXPECT_LT(losses.back(), losses.front() * (batch == 1 ? 0.5 : 1.0))
+        << "batch " << batch;
+  }
+}
+
+TEST_F(TsFixture, TruncationCoversEveryStep) {
+  // 51 packages = 50 steps, cut into 7-step windows: 7·7 + 1 = 8 windows.
+  // At learning rate 0 the weights never move, so the epoch loss must be
+  // the CE of every window, each evaluated on its own, over all 50 steps.
+  DiscreteFragment frag;
+  for (int t = 0; t < 51; ++t) {
+    frag.push_back({static_cast<std::uint16_t>(t % 4)});
+  }
+  const std::vector<DiscreteFragment> one = {frag};
+  config.epochs = 1;
+  config.truncate_steps = 7;
+  config.learning_rate = 0.0;
+  for (const std::size_t batch : {1u, 4u}) {
+    config.batch_size = batch;
+    Rng rng(15);
+    TimeSeriesDetector det(*db, cards, config, rng);
+    const auto losses = det.train(one, rng);
+    // One optimizer step per window, or per 4-window minibatch.
+    EXPECT_EQ(det.adam_state()->t, batch == 1 ? 8u : 2u);
+    std::vector<nn::CodeRow> xs(50);
+    std::vector<std::size_t> ts;
+    for (std::size_t t = 0; t < 50; ++t) {
+      sig::append_one_hot_codes(frag[t], cards, false, xs[t]);
+      ts.push_back(*db->id_of(frag[t + 1]));
+    }
+    double sum = 0.0;
+    for (std::size_t start = 0; start < 50; start += 7) {
+      const std::size_t n = std::min<std::size_t>(7, 50 - start);
+      sum += det.model().evaluate_fragment(std::span(xs).subspan(start, n),
+                                           std::span(ts).subspan(start, n));
+    }
+    ASSERT_EQ(losses.size(), 1u);
+    EXPECT_NEAR(losses[0], sum / 50.0, 1e-5) << "batch " << batch;
+  }
 }
 
 TEST_F(TsFixture, TopKErrorLowOnDeterministicCycle) {
@@ -69,6 +113,11 @@ TEST_F(TsFixture, ChooseKPicksSmallK) {
   const std::size_t k = det->choose_k(fragments);
   EXPECT_LE(k, 2u);
   EXPECT_EQ(det->k(), k);
+  // θ = 0 can never be satisfied (err_k ≥ 0 and the test is strict), so
+  // choose_k falls back to max_k.
+  config.theta = 0.0;
+  det->set_train_config(config);
+  EXPECT_EQ(det->choose_k(fragments), config.max_k);
 }
 
 TEST_F(TsFixture, StreamingDetectsPhaseViolation) {
@@ -120,12 +169,19 @@ TEST_F(TsFixture, InputDimIncludesNoisyBit) {
 }
 
 TEST_F(TsFixture, ShortFragmentsIgnored) {
-  Rng rng(10);
-  TimeSeriesDetector det(*db, cards, config, rng);
-  const std::vector<DiscreteFragment> tiny = {{{0}}};  // single package
-  const auto losses = det.train(tiny, rng);
-  EXPECT_DOUBLE_EQ(losses.back(), 0.0);  // nothing to train on
-  EXPECT_DOUBLE_EQ(det.top_k_error(tiny, 1), 0.0);
+  // An empty fragment and a single package: no step to train on, at the
+  // per-window reference and through the engine alike.
+  const std::vector<DiscreteFragment> tiny = {{}, {{0}}};
+  for (const std::size_t batch : {1u, 4u}) {
+    config.batch_size = batch;
+    Rng rng(10);
+    TimeSeriesDetector det(*db, cards, config, rng);
+    const auto losses = det.train(tiny, rng);
+    ASSERT_EQ(losses.size(), config.epochs);
+    EXPECT_DOUBLE_EQ(losses.back(), 0.0);  // nothing to train on
+    EXPECT_EQ(det.adam_state()->t, 0u);    // and no optimizer step
+    EXPECT_DOUBLE_EQ(det.top_k_error(tiny, 1), 0.0);
+  }
 }
 
 TEST_F(TsFixture, TrainRejectsUnknownSignatures) {

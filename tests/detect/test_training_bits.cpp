@@ -1,6 +1,8 @@
 // Training bits are pinned per kernel backend (DESIGN.md §5, §7): a small
-// fixed detector trained through the batched engine must serialize to the
-// same model bytes as the build these constants were recorded from. The
+// fixed detector trained through each step the training driver can take —
+// train() through the batched engine, train() per window (batch_size = 1),
+// and train_sharded over two keyed captures — must serialize to the same
+// model bytes as the build these constants were recorded from. The
 // models differ between backends; within one backend any change to the
 // training arithmetic — a kernel, the layer-0 code path, the optimizer —
 // changes the checksum.
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <ios>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,25 +34,43 @@
 namespace mlad::detect {
 namespace {
 
+/// Which training call the fixed detector goes through.
+enum Loop : std::size_t {
+  kBatched,    ///< train() at batch_size 8
+  kPerWindow,  ///< train() at batch_size 1, the per-window reference
+  kSharded,    ///< train_sharded over two keyed captures at batch_size 4
+  kLoops
+};
+constexpr const char* kLoopNames[kLoops] = {"batched", "per-window",
+                                            "sharded"};
+
 struct Recorded {
   const char* backend;
-  std::uint64_t checksum;
+  std::uint64_t checksum[kLoops];  ///< indexed by Loop; 0 = not recorded
 };
 
-// Recorded with gcc 12.2 (Release) on an x86-64 host with AVX-512.
+// Recorded with gcc 12.2 (Release) on an x86-64 host with AVX-512. The
+// per-window step runs the per-sample model path, which no backend
+// dispatches, so its constant is the same in every row.
 #if defined(__FMA__) && defined(__GNUC__) && !defined(__clang__)
 constexpr Recorded kRecorded[] = {
-    {"scalar", 0xe4d6daafcb42ab70ULL},
-    {"avx2", 0xafa2938accb50556ULL},
-    {"avx512", 0xc86039cefd695f14ULL},
+    {"scalar",
+     {0xe4d6daafcb42ab70ULL, 0x268ae401209fd034ULL, 0xb5135d4883bc1563ULL}},
+    {"avx2",
+     {0xafa2938accb50556ULL, 0x268ae401209fd034ULL, 0xe70d0e8b172a866eULL}},
+    {"avx512",
+     {0xc86039cefd695f14ULL, 0x268ae401209fd034ULL, 0x973a0161bf0a4586ULL}},
 };
 #elif defined(__FMA__)
-constexpr Recorded kRecorded[] = {{"none", 0}};
+constexpr Recorded kRecorded[] = {{"none", {0, 0, 0}}};
 #else
 constexpr Recorded kRecorded[] = {
-    {"scalar", 0xfa508cbc24205c4fULL},
-    {"avx2", 0xd3ef782f297ac06dULL},
-    {"avx512", 0x75138507cf2dace2ULL},
+    {"scalar",
+     {0xfa508cbc24205c4fULL, 0x72a27527c56164ccULL, 0x5a776a625a801ec4ULL}},
+    {"avx2",
+     {0xd3ef782f297ac06dULL, 0x72a27527c56164ccULL, 0xc62d02223f54c21aULL}},
+    {"avx512",
+     {0x75138507cf2dace2ULL, 0x72a27527c56164ccULL, 0xbfaa090b5dfd457aULL}},
 };
 #endif
 
@@ -61,10 +82,13 @@ bool libm_matches_recording() {
 #endif
 }
 
-std::optional<std::uint64_t> recorded(const std::string& backend) {
+std::optional<std::uint64_t> recorded(const std::string& backend,
+                                      Loop loop) {
   if (backend == "scalar" && !libm_matches_recording()) return std::nullopt;
   for (const Recorded& r : kRecorded) {
-    if (backend == r.backend && r.checksum != 0) return r.checksum;
+    if (backend == r.backend && r.checksum[loop] != 0) {
+      return r.checksum[loop];
+    }
   }
   return std::nullopt;
 }
@@ -104,9 +128,9 @@ std::vector<DiscreteFragment> fragments(std::uint64_t seed, std::size_t count,
   return out;
 }
 
-/// Train the fixed detector on the active backend; the checksum of its
-/// serialized LSTM model.
-std::uint64_t train_checksum() {
+/// Train the fixed detector on the active backend through `loop`; the
+/// checksum of its serialized LSTM model.
+std::uint64_t train_checksum(Loop loop) {
   const std::vector<DiscreteFragment> train = fragments(3, 24, 40);
   sig::SignatureDatabase db{sig::SignatureGenerator(kCards)};
   for (const DiscreteFragment& frag : train) {
@@ -120,9 +144,21 @@ std::uint64_t train_checksum() {
   config.micro_batch = 4;  // 4-row steps: the scalar pairing blocks fill
   config.threads = 1;
   config.noise.enabled = true;  // noisy bits and insertions in the inputs
+  if (loop == kPerWindow) config.batch_size = 1;
+  if (loop == kSharded) {
+    config.batch_size = 4;
+    config.micro_batch = 2;
+  }
   Rng rng(17);
   TimeSeriesDetector det(db, kCards, config, rng);
-  det.train(train, rng);
+  if (loop == kSharded) {
+    const std::span<const DiscreteFragment> all(train);
+    const std::vector<CaptureShard> captures = {{"b.cap", all.subspan(14)},
+                                                {"a.cap", all.first(14)}};
+    det.train_sharded(captures, /*base_seed=*/23);
+  } else {
+    det.train(train, rng);
+  }
   std::ostringstream bytes;
   nn::save_model(bytes, det.model());
   return fnv1a(bytes.str());
@@ -132,16 +168,22 @@ TEST(TrainingBits, ModelChecksumPerBackendMatchesRecording) {
   std::size_t checked = 0;
   for (const std::string& backend : nn::available_kernel_backends()) {
     ASSERT_TRUE(nn::select_kernel_backend(backend));
-    const std::uint64_t got = train_checksum();
-    const std::optional<std::uint64_t> want = recorded(backend);
-    if (!want) {
-      std::printf("no recorded constant for %s in this build: 0x%016llxULL\n",
-                  backend.c_str(), static_cast<unsigned long long>(got));
-      continue;
+    for (std::size_t l = 0; l < kLoops; ++l) {
+      const Loop loop = static_cast<Loop>(l);
+      const std::uint64_t got = train_checksum(loop);
+      const std::optional<std::uint64_t> want = recorded(backend, loop);
+      if (!want) {
+        std::printf("no recorded constant for %s %s in this build: "
+                    "0x%016llxULL\n",
+                    backend.c_str(), kLoopNames[l],
+                    static_cast<unsigned long long>(got));
+        continue;
+      }
+      EXPECT_EQ(got, *want) << backend << " " << kLoopNames[l]
+                            << ": training arithmetic changed, model "
+                            << "checksum 0x" << std::hex << got;
+      ++checked;
     }
-    EXPECT_EQ(got, *want) << backend << ": training arithmetic changed, "
-                          << "model checksum 0x" << std::hex << got;
-    ++checked;
   }
   nn::select_kernel_backend_from_env();
   if (checked == 0) GTEST_SKIP() << "no recorded constant for this build";

@@ -104,8 +104,8 @@ def check_ingest(doc: dict, errors: list) -> None:
 def check_nn(doc: dict, errors: list) -> None:
     """BENCH_nn.json, the one bench_nn_throughput record: the `train`,
     `train_consolidation` and `eval` sections each carry determinism
-    booleans that must be true, and `train_consolidation` its 4-lane
-    speedup criterion."""
+    booleans that must be true, and `train_consolidation` its wall-time
+    speedup criterion (both engines on a 4-thread pool)."""
     train = doc.get("train")
     if not isinstance(train, dict):
         errors.append("'train' section missing")
@@ -137,8 +137,7 @@ def check_nn(doc: dict, errors: list) -> None:
             if not isinstance(entry, dict) or entry.get(key) is not True:
                 errors.append(f"train_consolidation.backends.{name}."
                               f"{key} must be true")
-    for field in ("sequential_per_capture_s", "sharded_wall_s",
-                  "sharded_critical_path_s"):
+    for field in ("sequential_per_capture_s", "sharded_wall_s"):
         value = tc.get(field)
         if not isinstance(value, (int, float)) or value <= 0:
             errors.append(f"train_consolidation.{field} must be positive")
@@ -151,10 +150,10 @@ def check_nn(doc: dict, errors: list) -> None:
     if not isinstance(criterion, dict):
         errors.append("train_consolidation.criterion object missing")
         return
-    required = criterion.get("required_speedup_4lanes")
-    measured = criterion.get("measured_speedup_4lanes")
-    for name, value in (("required_speedup_4lanes", required),
-                        ("measured_speedup_4lanes", measured)):
+    required = criterion.get("required_wall_speedup_4threads")
+    measured = criterion.get("measured_wall_speedup_4threads")
+    for name, value in (("required_wall_speedup_4threads", required),
+                        ("measured_wall_speedup_4threads", measured)):
         if not isinstance(value, (int, float)) or value <= 0:
             errors.append(f"train_consolidation.criterion.{name} must "
                           f"be a positive number")

@@ -348,7 +348,7 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
     // with its own gradient lanes — one pooled model, results independent of
     // thread count and capture listing order (keys = the file paths).
     const std::vector<std::string> paths = split(caps_it->second, ',');
-    if (paths.empty()) throw std::runtime_error("train: no captures given");
+    if (paths.empty()) throw std::runtime_error("no captures given");
     std::vector<std::vector<ics::Package>> decoded;
     decoded.reserve(paths.size());
     for (const std::string& p : paths) {
@@ -437,7 +437,7 @@ std::vector<ics::Capture> load_captures(
     const std::map<std::string, std::string>& flags) {
   const std::vector<std::string> paths =
       split(need(flags, "captures"), ',');
-  if (paths.empty()) throw std::runtime_error("serve: no captures given");
+  if (paths.empty()) throw std::runtime_error("no captures given");
   std::vector<ics::Capture> captures;
   captures.reserve(paths.size());
   for (const std::string& p : paths) {
@@ -587,7 +587,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     source = std::move(sock);
   } else {
     throw std::runtime_error(
-        "serve: --source must be capture, replay, udp or tcp");
+        "--source must be capture, replay, udp or tcp");
   }
   // --fault-spec decorates ANY front end with a seeded fault schedule
   // (DESIGN.md §12), so CI and benches replay exact fault sequences.
@@ -695,13 +695,13 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 
 int tap_connect(const std::string& host, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("tap: socket() failed");
+  if (fd < 0) throw std::runtime_error("socket() failed");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
-    throw std::runtime_error("tap: bad host " + host);
+    throw std::runtime_error("bad host " + host);
   }
   int rc;
   do {
@@ -710,7 +710,7 @@ int tap_connect(const std::string& host, std::uint16_t port) {
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) {
     ::close(fd);
-    throw std::runtime_error("tap: connect to " + host + " failed: " +
+    throw std::runtime_error("connect to " + host + " failed: " +
                              std::strerror(errno));
   }
   return fd;
@@ -722,7 +722,7 @@ void tap_send(int fd, std::span<const std::uint8_t> bytes) {
     const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("tap: send failed: ") +
+      throw std::runtime_error(std::string("send failed: ") +
                                std::strerror(errno));
     }
     off += static_cast<std::size_t>(n);
